@@ -158,8 +158,7 @@ class BenchReport:
     macs: int = 0
 
 
-def run_benchmark(kind, seq_len, repeats, warmup, seed=0, n_classes=11,
-                  threads=None) -> BenchReport:
+def run_benchmark(kind, seq_len, repeats, warmup, seed=0, n_classes=11) -> BenchReport:
     """Time infer-mode forward passes on random weights and input."""
     cfg = models.ModelConfig(n_sed=n_classes, seq_len=seq_len)
     model = models.build_model(cfg, kind, seed=seed)
@@ -172,25 +171,13 @@ def run_benchmark(kind, seq_len, repeats, warmup, seed=0, n_classes=11,
     model.forward(feats, dropout_rng=np.random.default_rng(seed))
     model.mode = "infer"
 
-    limiter = None
-    if threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-            limiter = threadpool_limits(limits=threads)
-        except ImportError:
-            print("warning: threadpoolctl unavailable; --threads ignored",
-                  file=sys.stderr)
-    try:
-        for _ in range(warmup):
-            model.forward(feats)
-        runs = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            model.forward(feats)
-            runs.append(time.perf_counter() - t0)
-    finally:
-        if limiter is not None:
-            limiter.unregister()
+    for _ in range(warmup):
+        model.forward(feats)
+    runs = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        model.forward(feats)
+        runs.append(time.perf_counter() - t0)
 
     return BenchReport(
         model=kind,
@@ -208,7 +195,7 @@ def cmd_bench(args, parser=None):
     report = run_benchmark(
         kind=args.model, seq_len=args.seq_len, repeats=args.repeats,
         warmup=args.warmup, seed=_resolve_seed(args.seed),
-        n_classes=args.classes, threads=args.threads,
+        n_classes=args.classes,
     )
     print(f"model        : {report.model}")
     print(f"seq_len      : {report.seq_len}")
@@ -329,7 +316,6 @@ def build_parser():
     p.add_argument("--seq-len", type=int, default=512)
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--classes", type=int, default=11)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

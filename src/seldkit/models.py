@@ -10,6 +10,7 @@ a stack of dilated non-causal residual blocks in the TCN variant.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field, fields
@@ -245,9 +246,12 @@ def load_weights(path) -> WeightStore:
             raise FormatError(f"{path}: unknown dtype code {code}")
         shape = struct.unpack(f"<{rank}I", need(4 * rank))
         dtype = _DTYPE_CODES[code]
-        n_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = need(n_items * dtype.itemsize)
-        array = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        # Python ints: a crafted shape must not wrap around to a small size
+        raw = need(math.prod(shape) * dtype.itemsize)
+        try:
+            array = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:  # an empty entry whose other dims overflow numpy
+            raise FormatError(f"{path}: entry {name!r} has unsupported shape {shape}") from exc
         if name in store:
             raise FormatError(f"{path}: duplicate entry {name!r}")
         store.put(name, array)
@@ -419,7 +423,11 @@ class SeldModel:
         return pred
 
     def forward_cached(self, features, dropout_rng=None):
-        """Forward pass that also returns the cache backward() needs."""
+        """Train-mode forward pass that also returns the cache backward() needs."""
+        if self.mode != "train":
+            raise StateError(
+                f"forward_cached needs train mode (model is in {self.mode!r} mode): "
+                "backward() uses the batch statistics only training computes")
         return self._forward_impl(features, _new_cache(), dropout_rng)
 
     def _forward_impl(self, features, cache, dropout_rng):

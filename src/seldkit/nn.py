@@ -32,16 +32,29 @@ def relu_backward(dy, x):
 # 2-D convolution (3x3, stride 1, zero 'same' padding)
 # ---------------------------------------------------------------------------
 
-def _im2col_3x3(x):
-    """(C, T, F) -> contiguous (C*9, T*F) patch matrix, rows ordered (c, kt, kf)."""
+def _pad_3x3(x):
+    """(C, T, F) -> (C, T+2, F+2) with one frame and one bin of zeros around."""
     c, t, f = x.shape
     xp = np.zeros((c, t + 2, f + 2), dtype=x.dtype)
     xp[:, 1:-1, 1:-1] = x
-    cols = np.empty((c, 9, t, f), dtype=x.dtype)
+    return xp
+
+
+def _patches_3x3(xp, t0, cols):
+    """Fill cols (C, 9, n, F) with the 3x3 patches of padded `xp` for output
+    frames t0..t0+n; returns them as a (C*9, n*F) matrix, rows ordered
+    (c, kt, kf)."""
+    c, _, n, f = cols.shape
     for kt in range(3):
         for kf in range(3):
-            cols[:, kt * 3 + kf] = xp[:, kt:kt + t, kf:kf + f]
-    return cols.reshape(c * 9, t * f)
+            cols[:, kt * 3 + kf] = xp[:, t0 + kt:t0 + kt + n, kf:kf + f]
+    return cols.reshape(c * 9, n * f)
+
+
+def _im2col_3x3(x):
+    """(C, T, F) -> contiguous (C*9, T*F) patch matrix, rows ordered (c, kt, kf)."""
+    c, t, f = x.shape
+    return _patches_3x3(_pad_3x3(x), 0, np.empty((c, 9, t, f), dtype=x.dtype))
 
 
 def conv2d(x, w, b, cols_out=None):
@@ -92,34 +105,53 @@ def conv2d_backward(dy, x, w, need_dx=True, cols=None):
 # Frequency max pooling
 # ---------------------------------------------------------------------------
 
+def _pool_max(y, width):
+    """Max over non-overlapping windows of `width` along the last axis.
+
+    Accumulates np.maximum over the strided views y[..., k::width] in place.
+    max is exact, so the result equals
+    y.reshape(..., F // width, width).max(axis=-1) bit for bit, without the
+    slow reduction over a short innermost axis.
+    """
+    out = y[..., ::width].copy()
+    for k in range(1, width):
+        np.maximum(out, y[..., k::width], out=out)
+    return out
+
+
 def conv2d_relu_pool(x, w, b, width):
     """Fused inference path: conv2d + bias + ReLU + frequency max pool.
 
     Equivalent to maxpool_freq(relu(conv2d(x, w, b)), width) up to float
-    reassociation, but computed in time-blocked tiles so the full pre-pool
-    activation never materializes. BN folding happens in the caller (scale
-    into w and b beforehand).
+    rounding in the gemm; the pooling itself is the same code as
+    maxpool_freq, so it is bit-identical to it. The input is padded once and
+    the patch matrix is built one time tile at a time, so neither the full
+    (C*9, T*F) patch matrix nor the full pre-pool activation materializes.
+    BN folding happens in the caller (scale into w and b beforehand).
     """
     c, t, f = x.shape
     if f % width != 0:
         raise ShapeError(f"conv2d_relu_pool: F={f} not divisible by width={width}")
     c_out = w.shape[0]
-    f_out = f // width
     w2 = np.ascontiguousarray(w.reshape(c_out, -1))
-    cols = _im2col_3x3(x)
-    out = np.empty((c_out, t, f_out), dtype=x.dtype)
+    xp = _pad_3x3(x)
+    out = np.empty((c_out, t, f // width), dtype=x.dtype)
 
-    # Tiles keep the gemm output cache-resident; the patch matrix is read
-    # through zero-copy column views. Pooling runs BEFORE bias + ReLU (the
-    # bias is constant per channel and ReLU is monotone, so max commutes),
-    # which moves those passes onto the width-times-smaller pooled tensor.
-    bt = max(1, (1 << 21) // max(1, c_out * f * x.dtype.itemsize))
-    tile = np.empty((c_out, bt * f), dtype=x.dtype)
+    # A tile's patch rows plus its gemm output fit a 2 MiB budget, so both
+    # stay cache-resident between the fill, the gemm and the pool. Pooling
+    # runs BEFORE bias + ReLU (the bias is constant per channel and ReLU is
+    # monotone, so max commutes), which moves those passes onto the
+    # width-times-smaller pooled tensor. The buffers are flat so that the
+    # shorter last tile gets contiguous views of them too.
+    bt = min(t, max(1, (1 << 21) // ((c * 9 + c_out) * f * x.dtype.itemsize)))
+    cols_buf = np.empty(c * 9 * bt * f, dtype=x.dtype)
+    tile_buf = np.empty(c_out * bt * f, dtype=x.dtype)
     for t0 in range(0, t, bt):
         n = min(bt, t - t0)
-        tv = tile if n == bt else np.empty((c_out, n * f), dtype=x.dtype)
-        np.matmul(w2, cols[:, t0 * f:(t0 + n) * f], out=tv)
-        out[:, t0:t0 + n] = tv.reshape(c_out, n, f_out, width).max(axis=3)
+        cols = _patches_3x3(xp, t0, cols_buf[:c * 9 * n * f].reshape(c, 9, n, f))
+        tile = tile_buf[:c_out * n * f].reshape(c_out, n * f)
+        np.matmul(w2, cols, out=tile)
+        out[:, t0:t0 + n] = _pool_max(tile.reshape(c_out, n, f), width)
     out += b[:, None, None]
     np.maximum(out, 0.0, out=out)
     return out
@@ -130,7 +162,7 @@ def maxpool_freq(x, width):
     c, t, f = x.shape
     if f % width != 0:
         raise ShapeError(f"maxpool_freq: F={f} not divisible by width={width}")
-    return x.reshape(c, t, f // width, width).max(axis=3)
+    return _pool_max(x, width)
 
 
 def maxpool_freq_backward(dy, x, width):

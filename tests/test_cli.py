@@ -1,5 +1,7 @@
 """End-to-end CLI tests: flags, exit codes, file outputs, determinism."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,17 @@ class TestInferCommand:
                      "--out", tmp_path / "p.csv")
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_huge_declared_shape_exits_one(self, sample_wav, tmp_path, capsys):
+        crafted = tmp_path / "huge.seldw"
+        crafted.write_bytes(models.WEIGHTS_MAGIC + struct.pack("<IH", 1, 1) + b"w"
+                            + struct.pack("<BB4I", 0, 4, *(65536,) * 4))
+        models.save_config(f"{crafted}.cfg", models.ModelConfig(n_sed=2),
+                           {"sample_rate_hz": 8000})
+        rc = run_cli("infer", "--weights", crafted, "--wav", sample_wav,
+                     "--out", tmp_path / "p.csv")
+        assert rc == 1
+        assert "truncated" in capsys.readouterr().err
 
     def test_cli_eval_matches_library(self, trained_weights, dataset_dir, tmp_path, capsys):
         # no CLI-layer drift: eval of infer output against ground truth

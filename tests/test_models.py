@@ -1,5 +1,7 @@
 """Model assembly, loss, weights, config, counters, and training-loop tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from seldkit.errors import (
     FormatError,
     InputError,
     ShapeError,
+    StateError,
     TruncatedFileError,
     UnsupportedError,
 )
@@ -29,6 +32,12 @@ def random_features(cfg, t_len, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(
         (cfg.n_feature_channels, t_len, cfg.n_bins)).astype(dtype)
+
+
+def crafted_weights_header(dims):
+    """A one-entry SELDW1 header declaring a float32 array of shape `dims`."""
+    return (models.WEIGHTS_MAGIC + struct.pack("<IH", 1, 1) + b"w"
+            + struct.pack("<BB", 0, len(dims)) + struct.pack(f"<{len(dims)}I", *dims))
 
 
 class TestModelConfig:
@@ -120,6 +129,21 @@ class TestWeightStore:
         with pytest.raises(TruncatedFileError):
             models.load_weights(path)
 
+    @pytest.mark.parametrize("dims", [
+        (0xFFFFFFFF,) * 4, (65536,) * 4, (2**31, 2**31, 4, 1),
+    ])
+    def test_huge_declared_shape_is_truncation(self, tmp_path, dims):
+        path = tmp_path / "huge.seldw"
+        path.write_bytes(crafted_weights_header(dims) + b"\x00" * 64)
+        with pytest.raises(TruncatedFileError):
+            models.load_weights(path)
+
+    def test_empty_entry_with_overflowing_dims_rejected(self, tmp_path):
+        path = tmp_path / "empty.seldw"
+        path.write_bytes(crafted_weights_header((0, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)))
+        with pytest.raises(FormatError):
+            models.load_weights(path)
+
     def test_duplicate_put_rejected(self):
         store = models.WeightStore()
         store.put("w", np.ones(2, np.float32))
@@ -194,6 +218,15 @@ class TestBuildAndForward:
         for pred in results:
             assert np.array_equal(pred.sed, expected.sed)
             assert np.array_equal(pred.doa, expected.doa)
+
+    def test_forward_cached_needs_train_mode(self):
+        cfg = tiny_cfg()
+        model = models.build_model(cfg, "seldtcn", seed=23)
+        x = random_features(cfg, 6)
+        model.forward(x)  # prime BN stats
+        model.mode = "infer"
+        with pytest.raises(StateError, match="train mode"):
+            model.forward_cached(x)
 
     def test_bin_mismatch_rejected(self):
         cfg = tiny_cfg()

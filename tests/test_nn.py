@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seldkit import nn
+from seldkit import models, nn
 from seldkit.errors import InputError, NumericError, ShapeError, StateError
 
 
@@ -22,6 +22,23 @@ def ref_dilated_conv1d(x, w, b, d):
                         acc += x[c, src] * w[o, c, k + 1]
             y[o, t] = acc
     return y
+
+
+def ref_maxpool_freq(x, width):
+    """Reduction oracle for the frequency max pool."""
+    c, t, f = x.shape
+    return x.reshape(c, t, f // width, width).max(axis=3)
+
+
+def ref_conv2d_relu_pool(x, w, b, width):
+    """The fused kernel as a whole-input im2col, one gemm, the reduction pool,
+    then bias and ReLU on the pooled tensor."""
+    c, t, f = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    cols = np.stack([xp[:, kt:kt + t, kf:kf + f] for kt in range(3) for kf in range(3)],
+                    axis=1).reshape(c * 9, t * f)
+    y = (w.reshape(w.shape[0], -1) @ cols).reshape(-1, t, f)
+    return np.maximum(ref_maxpool_freq(y, width) + b[:, None, None], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +113,14 @@ class TestMaxpoolFreq:
         with pytest.raises(ShapeError):
             nn.maxpool_freq(np.zeros((1, 2, 10), np.float32), 8)
 
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    def test_equals_reduction_oracle(self, width):
+        rng = np.random.default_rng(width)
+        x = rng.standard_normal((3, 7, 32)).astype(np.float32)
+        ties = rng.integers(-2, 3, size=(3, 7, 32)).astype(np.float32)
+        for arr in (x, ties, np.abs(x) * (x > 0)):
+            assert np.array_equal(nn.maxpool_freq(arr, width), ref_maxpool_freq(arr, width))
+
     def test_backward_routes_to_argmax(self):
         x = np.array([[[1.0, 5.0, 2.0, 4.0]]])
         dy = np.array([[[3.0, 7.0]]])
@@ -115,6 +140,33 @@ class TestConv2dReluPool:
             composed = nn.maxpool_freq(nn.relu(nn.conv2d(x, w, b)), width)
             assert fused.shape == composed.shape
             assert np.allclose(fused, composed, atol=1e-5)
+
+    # T = 16 and 26 are one time tile + 1 for layer 0 (8 -> 64 channels,
+    # 256 bins) and layer 1 (64 -> 64, 32 bins) of the paper's front-end.
+    @pytest.mark.parametrize("c_in,f,width,t", [
+        (8, 256, 8, 1), (8, 256, 8, 16), (8, 256, 8, 513),
+        (64, 32, 8, 1), (64, 32, 8, 26), (64, 32, 8, 513), (3, 16, 1, 29),
+    ])
+    def test_bit_identical_to_whole_input_oracle(self, c_in, f, width, t):
+        rng = np.random.default_rng(t)
+        x = rng.standard_normal((c_in, t, f)).astype(np.float32)
+        w = (rng.standard_normal((64, c_in, 3, 3)) * 0.1).astype(np.float32)
+        b = rng.standard_normal(64).astype(np.float32)
+        assert np.array_equal(nn.conv2d_relu_pool(x, w, b, width),
+                              ref_conv2d_relu_pool(x, w, b, width))
+
+    @pytest.mark.parametrize("kind", ["seldtcn", "seldnet"])
+    def test_model_predictions_unchanged(self, kind, monkeypatch):
+        cfg = models.ModelConfig(n_sed=11)
+        model = models.build_model(cfg, kind, seed=7)
+        x = np.random.default_rng(7).standard_normal((8, 40, 256)).astype(np.float32)
+        model.forward(x, dropout_rng=np.random.default_rng(7))  # prime BN stats
+        model.mode = "infer"
+        fused = model.forward(x)
+        monkeypatch.setattr(nn, "conv2d_relu_pool", ref_conv2d_relu_pool)
+        ref = model.forward(x)
+        assert np.array_equal(fused.sed, ref.sed)
+        assert np.array_equal(fused.doa, ref.doa)
 
     def test_indivisible_width_rejected(self):
         with pytest.raises(ShapeError):
