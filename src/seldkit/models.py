@@ -173,7 +173,8 @@ class WeightStore:
     def put(self, name, array):
         if name in self._entries:
             raise FormatError(f"duplicate weight name {name!r}")
-        array = np.ascontiguousarray(array)
+        # a copy, so a store taken mid-training does not follow later updates
+        array = np.array(array, order="C", ndmin=1)
         if array.dtype not in (np.float32, np.float64):
             raise FormatError(f"{name!r}: only float32/float64 tensors are storable")
         self._entries[name] = array
@@ -249,7 +250,7 @@ def load_weights(path) -> WeightStore:
         # Python ints: a crafted shape must not wrap around to a small size
         raw = need(math.prod(shape) * dtype.itemsize)
         try:
-            array = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            array = np.frombuffer(raw, dtype=dtype).reshape(shape)
         except ValueError as exc:  # an empty entry whose other dims overflow numpy
             raise FormatError(f"{path}: entry {name!r} has unsupported shape {shape}") from exc
         if name in store:
@@ -587,23 +588,6 @@ class SeldModel:
         if "features.mean" in store:
             self.set_feature_stats(store.get("features.mean"), store.get("features.std"))
 
-    def snapshot(self):
-        snap = {name: p.copy() for name, p in self.params.items()}
-        snap["__bn__"] = {
-            name: (s.running_mean.copy(), s.running_var.copy(), s.num_updates)
-            for name, s in self.bn_states.items()
-        }
-        return snap
-
-    def restore(self, snap):
-        for name, p in self.params.items():
-            p[:] = snap[name]
-        for name, (mean, var, updates) in snap["__bn__"].items():
-            state = self.bn_states[name]
-            state.running_mean[:] = mean
-            state.running_var[:] = var
-            state.num_updates = updates
-
 
 def _new_cache():
     return {"front": [], "blocks": [], "tcn": None, "heads": None, "reshape": None}
@@ -789,7 +773,7 @@ def train(model: SeldModel, dataset: SequenceDataset, epochs=500, batch_size=16,
     adam = nn.AdamState.create(model.params)
 
     log = TrainLog()
-    best_snap = None
+    best = None
     wait = 0
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
@@ -820,15 +804,15 @@ def train(model: SeldModel, dataset: SequenceDataset, epochs=500, batch_size=16,
         if val_loss < log.best_val_loss:
             log.best_val_loss = val_loss
             log.best_epoch = epoch
-            best_snap = model.snapshot()
+            best = model.to_store()
             wait = 0
         else:
             wait += 1
             if wait >= max(patience, 1):
                 log.stopped_early = True
                 break
-    if best_snap is not None:
-        model.restore(best_snap)
+    if best is not None:
+        model.load_store(best)
     model.mode = "infer"
     return log
 

@@ -1,14 +1,16 @@
 """Independent brute-force metric implementations used as test oracles.
 
 Deliberately written with different machinery than the library: exact
-rational arithmetic for the segment counts and scipy's assignment solver
-for the DOA matching.
+rational arithmetic for the segment counts, and an exhaustive permutation
+search over an arccos cost for the DOA matching (the library solves the
+assignment with scipy). Exhaustive search is factorial in the number of
+events, so duel it only on small frames.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def oracle_segment_er_f1(pred_activity, ref_activity, frames_per_segment):
@@ -39,7 +41,7 @@ def oracle_segment_er_f1(pred_activity, ref_activity, frames_per_segment):
 
 
 def oracle_doa_error(pred_ann, ref_ann):
-    """Mean matched angle via scipy's optimal assignment; None if no pairs."""
+    """Mean matched angle via exhaustive permutation search; None if no pairs."""
     total = 0.0
     pairs = 0
     for p_frame, r_frame in zip(pred_ann, ref_ann):
@@ -51,9 +53,14 @@ def oracle_doa_error(pred_ann, ref_ann):
         for i, u in enumerate(pv):
             for j, w in enumerate(rv):
                 cost[i, j] = np.degrees(np.arccos(np.clip(np.dot(u, w), -1.0, 1.0)))
-        rows, cols = linear_sum_assignment(cost)
-        total += cost[rows, cols].sum()
-        pairs += len(rows)
+        if len(pv) > len(rv):
+            cost = cost.T
+        n_small, n_large = cost.shape
+        total += min(
+            sum(cost[i, perm[i]] for i in range(n_small))
+            for perm in permutations(range(n_large), n_small)
+        )
+        pairs += n_small
     if pairs == 0:
         return None
     return total / pairs

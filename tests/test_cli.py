@@ -155,6 +155,15 @@ class TestEvalCommand:
                      "--sr", 100, "--hop", 100)
         assert rc == 1
 
+    @pytest.mark.parametrize("row", [b"0,99999999999,1,0,0", b"99999999999,0,1,0,0",
+                                     b"0,0,1,0,0\xff"])
+    def test_hostile_csv_exits_one(self, tmp_path, row):
+        self.write_ann(tmp_path / "r.csv", [{0: np.array([1.0, 0, 0])}])
+        (tmp_path / "p.csv").write_bytes(b"frame_index,class_id,x,y,z\n" + row + b"\n")
+        rc = run_cli("eval", "--pred", tmp_path / "p.csv", "--ref", tmp_path / "r.csv",
+                     "--sr", 100, "--hop", 100)
+        assert rc == 1
+
 
 class TestBenchCommand:
     def test_repeats_below_three_is_usage_error(self):

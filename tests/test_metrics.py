@@ -1,12 +1,15 @@
 """Metric tests: worked examples, invariants, and brute-force oracle duels."""
 
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seldkit import metrics
-from seldkit.errors import DataError, FormatError, InputError
+from seldkit.errors import DataError, FormatError, InputError, NumericError, SeldError
 from oracle_metrics import oracle_doa_error, oracle_segment_er_f1, random_metric_case
 
 
@@ -140,11 +143,19 @@ class TestDoaError:
         pred = [{0: np.array([0.0, 0.0, 1.0])}]
         ref = [{0: np.array([0.0, 0.0, -1.0])}]
         assert metrics.doa_error(pred, ref) == pytest.approx(180.0)
+        angle = metrics.angular_distance_deg(pred[0][0], ref[0][0])
+        assert isinstance(angle, float) and angle == pytest.approx(180.0)
 
     def test_assignment_swaps(self):
         ref = [{0: np.array([1.0, 0, 0]), 1: np.array([0, 1.0, 0])}]
         pred = [{0: np.array([0, 1.0, 0]), 1: np.array([1.0, 0, 0])}]
         assert metrics.doa_error(pred, ref) == pytest.approx(0.0)
+
+    def test_non_finite_vector_rejected(self):
+        pred = [{0: np.array([np.nan, 0.0, 0.0])}]
+        ref = [{0: np.array([1.0, 0.0, 0.0])}]
+        with pytest.raises(NumericError):
+            metrics.doa_error(pred, ref)
 
     def test_no_pairs_returns_none(self):
         assert metrics.doa_error([{}], [{}]) is None
@@ -154,6 +165,19 @@ class TestDoaError:
         ref = [{0: np.array([1.0, 0, 0])}]
         assert metrics.doa_error(pred, ref) is None
         assert metrics.frame_recall(pred, ref) == 100.0
+
+    def test_dense_frame_is_fast(self):
+        # 11 events per side: 11! permutations would take minutes
+        rng = np.random.default_rng(8)
+        vecs = rng.standard_normal((11, 3))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        ref = [{c: vecs[c] for c in range(11)}]
+        pred = [{c: vecs[(c + 4) % 11] for c in range(11)}]
+        t0 = time.perf_counter()
+        total, pairs = metrics.doa_error_accumulate(pred, ref)
+        assert time.perf_counter() - t0 < 1.0
+        assert pairs == 11
+        assert total == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetry_with_equal_cardinality(self):
         rng = np.random.default_rng(3)
@@ -215,8 +239,12 @@ class TestOracleDuels:
 
     def test_doa_matches_assignment_oracle(self):
         rng = np.random.default_rng(5)
-        for _ in range(60):
-            pred_ann, ref_ann, _, _ = random_metric_case(rng)
+        cases = [random_metric_case(rng) for _ in range(60)]
+        # denser frames (this draw reaches 6 vs 6), still cheap for the
+        # oracle's permutation search
+        cases.append(random_metric_case(np.random.default_rng(8), max_classes=7,
+                                        max_segments=5, max_sources=7))
+        for pred_ann, ref_ann, _, _ in cases:
             mine = metrics.doa_error(pred_ann, ref_ann)
             oracle = oracle_doa_error(pred_ann, ref_ann)
             if oracle is None:
@@ -268,6 +296,62 @@ class TestCsvInterchange:
         path.write_text("frame_index,class_id,x,y,z\n9,0,1,0,0\n")
         with pytest.raises(DataError):
             metrics.read_prediction_csv(path, n_frames=5)
+
+    @pytest.mark.parametrize("body, error", [
+        (b"0,0,1,0,0\xff\n", FormatError),          # not UTF-8
+        (b"0,99999999999,1,0,0\n", DataError),       # would size a 93 GiB activity matrix
+        (b"99999999999,0,1,0,0\n", DataError),       # would size a 10**11-frame list
+        (b"0,0,nan,0,0\n", DataError),               # no usable direction
+        (b"0,0,1e308,1e308,0\n", DataError),         # length overflows
+    ])
+    def test_hostile_rows_rejected_quickly(self, tmp_path, body, error):
+        path = tmp_path / "hostile.csv"
+        path.write_bytes(b"frame_index,class_id,x,y,z\n" + body)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(error):
+                metrics.read_prediction_csv(path)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=64))
+    def test_fuzz_bytes_after_header(self, tmp_path_factory, tail):
+        path = tmp_path_factory.mktemp("fuzz") / "bytes.csv"
+        path.write_bytes(b"frame_index,class_id,x,y,z\n" + tail)
+        self.parse_or_seld_error(path)
+
+    FIELDS = st.one_of(
+        st.integers(-3, 40).map(str),
+        st.floats().map(repr),
+        st.sampled_from(["", " 1", "nan", "-inf", "1e308", "1_0", "0x1",
+                         str(metrics.MAX_FRAMES), str(metrics.MAX_CLASSES), str(2 ** 64)]),
+        st.text(max_size=4),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(FIELDS, max_size=7), max_size=6))
+    def test_fuzz_rows(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("fuzz") / "rows.csv"
+        text = "frame_index,class_id,x,y,z\n" + "".join(",".join(r) + "\n" for r in rows)
+        path.write_text(text, encoding="utf-8")
+        self.parse_or_seld_error(path)
+
+    @staticmethod
+    def parse_or_seld_error(path):
+        try:
+            ann, n_frames = metrics.read_prediction_csv(path)
+        except SeldError:
+            return
+        assert len(ann) == n_frames
+        for frame in ann:
+            for v in frame.values():
+                assert v is None or abs(np.linalg.norm(v) - 1.0) < 1e-9
 
 
 class TestEvaluateAnnotations:

@@ -1,6 +1,8 @@
 """Model assembly, loss, weights, config, counters, and training-loop tests."""
 
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +156,21 @@ class TestWeightStore:
         store = models.WeightStore()
         with pytest.raises(FormatError):
             store.put("w", np.ones(2, np.int32))
+
+    def test_store_does_not_follow_training(self):
+        cfg = tiny_cfg()
+        model = models.build_model(cfg, "seldtcn", seed=15)
+        store = model.to_store()
+        before = {name: array.copy() for name, array in store.items()}
+        model.mode = "train"  # the forward also moves the BN running statistics
+        seq = make_toy_sequences(cfg, 1, seed=16)[0]
+        _, grads = models.loss_and_grads(model, seq.features, seq.sed, seq.doa)
+        nn.adam_step(model.params, grads, nn.AdamState.create(model.params))
+        assert not np.array_equal(model.params["proj.w"], before["proj.w"])
+        assert not np.array_equal(model.bn_states["bn0"].running_mean,
+                                  before["bn0.running_mean"])
+        for name, array in store.items():
+            assert np.array_equal(array, before[name]), name
 
 
 class TestBuildAndForward:
@@ -482,6 +499,21 @@ class TestTraining:
         assert len(log.records) < 30
         assert log.best_epoch == len(log.records) - 1
 
+    def test_early_stop_restores_best_epoch(self):
+        cfg = tiny_cfg()
+        model = models.build_model(cfg, "seldtcn", seed=12)
+        ds = models.SequenceDataset(train=make_toy_sequences(cfg, 3, 1),
+                                    val=make_toy_sequences(cfg, 2, 2))
+        log = models.train(model, ds, epochs=30, batch_size=4, patience=0, seed=0)
+        assert log.stopped_early
+        assert log.records[-1].val_loss != log.best_val_loss
+        assert model.mode == "infer"
+        val_loss = 0.0
+        for seq in ds.val:
+            val_loss += models.loss(model.forward(seq.features), seq.sed.astype(model.dtype),
+                                    seq.doa.astype(model.dtype), cfg.loss_weight_doa)
+        assert val_loss / len(ds.val) == log.best_val_loss
+
     def test_training_deterministic(self):
         cfg = tiny_cfg()
         losses = []
@@ -555,3 +587,23 @@ class TestDatasetLoading:
         stacked = np.concatenate([s.features for s in seqs], axis=1)
         assert np.allclose(mean, stacked.mean(axis=(1, 2)), atol=1e-5)
         assert np.allclose(std, stacked.std(axis=(1, 2)), atol=1e-4)
+
+
+class TestBenchmarkTracerContract:
+    """Names the benchmark in perfbench/ reaches into by attribute lookup."""
+
+    def test_traced_names_exist(self):
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        methods = next(
+            ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "MODEL_METHODS" for t in node.targets))
+        assert methods
+        for attr in methods:
+            assert callable(vars(models.SeldModel).get(attr)), attr
+        for name in ("macs_conv2d", "macs_conv1d", "macs_dense", "macs_gru_direction",
+                     "count_macs"):
+            assert callable(getattr(models, name, None)), name
+        model = models.build_model(tiny_cfg(), "seldtcn", seed=0)
+        assert model.kind == "seldtcn"
+        assert isinstance(model.cfg, models.ModelConfig)
