@@ -72,8 +72,8 @@ def cmd_train(args):
 
     seed = _resolve_seed(args.seed)
     dataset = models.load_sequence_dataset(dataset_dir, cfg, sample_rate)
-    model = models.build_model(cfg, args.model, seed=seed)
-    print(f"training {args.model}: {model.num_params()} parameters, "
+    model = models.build_model(cfg, "seldtcn", seed=seed)
+    print(f"training seldtcn: {model.num_params()} parameters, "
           f"{len(dataset.train)} train / {len(dataset.val)} val sequences")
     log = models.train(model, dataset, epochs=args.epochs, batch_size=args.batch,
                        patience=args.patience, seed=seed)
@@ -294,7 +294,6 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a SELD-TCN on a dataset")
     p.add_argument("--config", required=True)
-    p.add_argument("--model", choices=models.MODEL_KINDS, default="seldtcn")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--batch", type=int, default=16)
@@ -343,10 +342,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "bench" and args.repeats < 3:
         parser.error("--repeats must be at least 3")
-    if args.command == "train" and args.model != "seldtcn":
-        print("error: only seldtcn supports training (seldnet is an "
-              "inference-only baseline)", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except SeldError as exc:

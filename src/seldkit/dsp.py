@@ -144,15 +144,24 @@ def read_wav(path) -> AudioClip:
     if fmt is None or payload is None:
         raise TruncatedFileError(f"{path}: missing fmt or data chunk")
 
-    audio_format, n_channels, rate, _, block_align, bits = fmt
+    audio_format, n_channels, rate, _, _, bits = fmt
     if not 1 <= n_channels <= 8:
         raise FormatError(f"{path}: unsupported channel count {n_channels}")
-    if audio_format == 1 and bits == 16:
+    if rate == 0:
+        raise FormatError(f"{path}: sample rate is 0")
+    if (audio_format, bits) not in ((1, 16), (1, 24), (3, 32)):
+        raise FormatError(
+            f"{path}: unsupported encoding (format={audio_format}, bits={bits})"
+        )
+    # checked against the encoding, not the header's block_align field, which
+    # may be 0 or disagree with it
+    if len(payload) % (n_channels * bits // 8):
+        raise TruncatedFileError(f"{path}: data ends mid-frame")
+    if bits == 16:
         flat = np.frombuffer(payload, dtype="<i2").astype(np.float32)
         flat /= 32768.0
-    elif audio_format == 1 and bits == 24:
-        raw = np.frombuffer(payload, dtype=np.uint8)
-        raw = raw[: len(raw) - len(raw) % 3].reshape(-1, 3)
+    elif bits == 24:
+        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
         ints = (
             raw[:, 0].astype(np.int32)
             | (raw[:, 1].astype(np.int32) << 8)
@@ -160,19 +169,9 @@ def read_wav(path) -> AudioClip:
         )
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         flat = ints.astype(np.float32) / float(1 << 23)
-    elif audio_format == 3 and bits == 32:
+    else:
         flat = np.clip(np.frombuffer(payload, dtype="<f4"), -1.0, 1.0)
         flat = flat.astype(np.float32)
-    else:
-        raise FormatError(
-            f"{path}: unsupported encoding (format={audio_format}, bits={bits})"
-        )
-
-    if block_align:
-        expected = len(payload) // block_align * block_align
-        if expected != len(payload):
-            raise TruncatedFileError(f"{path}: data ends mid-frame")
-    flat = flat[: len(flat) - len(flat) % n_channels]
     samples = flat.reshape(-1, n_channels).T.copy()
     return AudioClip(samples=samples, sample_rate_hz=rate)
 
@@ -279,29 +278,28 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 # STFT features
 # ---------------------------------------------------------------------------
 
-def stft_features(clip: AudioClip, win_len: int = WIN_LEN, hop: int = HOP) -> FeatureTensor:
+def stft_features(clip: AudioClip) -> FeatureTensor:
     """Extract stacked magnitude/phase spectrogram features.
 
-    Per channel: Hamming-windowed frames at hop `hop`, one-sided FFT, DC bin
-    dropped (bins 1..win_len/2 kept). Magnitudes for all channels come first,
-    then the phases, giving 2 * n_channels feature channels. Phase of an
-    exactly-zero cell is 0.
+    Per channel: Hamming-windowed frames of WIN_LEN samples at hop HOP,
+    one-sided FFT, DC bin dropped (bins 1..N_BINS kept). Magnitudes for all
+    channels come first, then the phases, giving 2 * n_channels feature
+    channels. Phase of an exactly-zero cell is 0.
     """
-    if clip.n_samples < win_len:
+    if clip.n_samples < WIN_LEN:
         raise InputError(
-            f"clip has {clip.n_samples} samples; need at least {win_len}"
+            f"clip has {clip.n_samples} samples; need at least {WIN_LEN}"
         )
-    n_frames = 1 + (clip.n_samples - win_len) // hop
-    n_bins = win_len // 2
-    window = np.hamming(win_len).astype(np.float64)
+    n_frames = 1 + (clip.n_samples - WIN_LEN) // HOP
+    window = np.hamming(WIN_LEN).astype(np.float64)
 
     c = clip.n_channels
-    values = np.empty((2 * c, n_frames, n_bins), dtype=np.float32)
-    starts = np.arange(n_frames) * hop
-    idx = starts[:, None] + np.arange(win_len)[None, :]
+    values = np.empty((2 * c, n_frames, N_BINS), dtype=np.float32)
+    starts = np.arange(n_frames) * HOP
+    idx = starts[:, None] + np.arange(WIN_LEN)[None, :]
     for ch in range(c):
         frames = clip.samples[ch][idx] * window
-        spec = np.fft.rfft(frames, axis=1)[:, 1:n_bins + 1]
+        spec = np.fft.rfft(frames, axis=1)[:, 1:N_BINS + 1]
         values[ch] = np.abs(spec)
         values[c + ch] = np.angle(spec)
     return FeatureTensor(values=values)

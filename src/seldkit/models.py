@@ -67,7 +67,9 @@ class ModelConfig:
                                self.rnn_hidden, self.tcn_filters, self.tcn_out_filters,
                                self.fc_units, self.seq_len)):
             raise ConfigError("all width/length fields must be >= 1")
-        pool_total = int(np.prod(self.pool_schedule))
+        if not self.pool_schedule or any(p < 1 for p in self.pool_schedule):
+            raise ConfigError("pool_schedule needs one or more widths, each >= 1")
+        pool_total = math.prod(self.pool_schedule)
         if self.n_bins % pool_total != 0:
             raise ConfigError(
                 f"n_bins={self.n_bins} not divisible by pooling factor {pool_total}")
@@ -83,13 +85,14 @@ class ModelConfig:
     @property
     def temporal_in_width(self):
         """Width of the flattened front-end output, the temporal block input."""
-        return self.conv_filters * (self.n_bins // int(np.prod(self.pool_schedule)))
+        return self.conv_filters * (self.n_bins // math.prod(self.pool_schedule))
 
 
-_INT_KEYS = {"n_sed", "n_feature_channels", "n_bins", "conv_filters", "rnn_hidden",
-             "tcn_filters", "tcn_blocks", "tcn_out_filters", "fc_units", "seq_len"}
-_FLOAT_KEYS = {"dropout_rate", "loss_weight_doa"}
-EXTRA_CONFIG_KEYS = ("sample_rate_hz", "dataset_dir")
+# Value parsers by type name: under `from __future__ import annotations` the
+# ModelConfig field types are the strings "int", "float" and "tuple".
+_PARSERS = {"int": int, "float": float, "str": str,
+            "tuple": lambda value: tuple(int(v) for v in value.split(","))}
+EXTRA_CONFIG_KEYS = {"sample_rate_hz": "int", "dataset_dir": "str"}
 
 
 def load_config(path):
@@ -98,35 +101,34 @@ def load_config(path):
     Recognized keys are exactly the ModelConfig field names plus
     sample_rate_hz and dataset_dir; `#` starts a comment.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from exc
     raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
 
+    cfg_types = {f.name: f.type for f in fields(ModelConfig)}
     cfg_kwargs = {}
     extras = {}
     for key, value in raw.items():
+        if key in cfg_types:
+            target, type_name = cfg_kwargs, cfg_types[key]
+        elif key in EXTRA_CONFIG_KEYS:
+            target, type_name = extras, EXTRA_CONFIG_KEYS[key]
+        else:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
         try:
-            if key in _INT_KEYS:
-                cfg_kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                cfg_kwargs[key] = float(value)
-            elif key == "pool_schedule":
-                cfg_kwargs[key] = tuple(int(v) for v in value.split(","))
-            elif key == "sample_rate_hz":
-                extras[key] = int(value)
-            elif key == "dataset_dir":
-                extras[key] = value
-            else:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
+            target[key] = _PARSERS[type_name](value)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from exc
     if "n_sed" not in cfg_kwargs:
@@ -138,7 +140,7 @@ def save_config(path, cfg: ModelConfig, extras=None):
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name == "pool_schedule":
+        if f.type == "tuple":
             value = ",".join(str(v) for v in value)
         lines.append(f"{f.name} = {value}")
     for key, value in (extras or {}).items():
@@ -241,7 +243,10 @@ def load_weights(path) -> WeightStore:
     store = WeightStore()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", need(2))
-        name = need(name_len).decode("utf-8")
+        try:
+            name = need(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: entry name is not UTF-8: {exc}") from exc
         code, rank = struct.unpack("<BB", need(2))
         if code not in _DTYPE_CODES:
             raise FormatError(f"{path}: unknown dtype code {code}")
@@ -562,29 +567,33 @@ class SeldModel:
         return store
 
     def load_store(self, store: WeightStore):
-        expected = set(self.params)
-        for name in self.bn_states:
-            expected.add(f"{name}.running_mean")
-            expected.add(f"{name}.running_var")
-        expected.add("meta.bn_updates")
+        shapes = {name: p.shape for name, p in self.params.items()}
+        for name, state in self.bn_states.items():
+            shapes[f"{name}.running_mean"] = shapes[f"{name}.running_var"] = \
+                state.running_mean.shape
+        shapes["meta.bn_updates"] = (1,)
         optional = {"features.mean", "features.std"}
         present = set(store.names())
-        missing = expected - present
-        extra = present - expected - optional
+        if present & optional:  # the feature statistics come as a pair
+            shapes.update(dict.fromkeys(optional, (self.cfg.n_feature_channels,)))
+        missing = shapes.keys() - present
+        extra = present - shapes.keys() - optional
         if missing or extra:
             raise ConfigError(
                 f"weights do not match the model: missing={sorted(missing)[:4]} "
                 f"extra={sorted(extra)[:4]}")
+        for name, shape in shapes.items():
+            if store.get(name).shape != shape:
+                raise ConfigError(f"{name}: stored shape {store.get(name).shape} != {shape}")
+        updates = float(store.get("meta.bn_updates")[0])
+        if not (math.isfinite(updates) and updates >= 0):
+            raise FormatError(f"meta.bn_updates must be a finite count >= 0, got {updates}")
         for name, p in self.params.items():
-            value = store.get(name)
-            if value.shape != p.shape:
-                raise ConfigError(f"{name}: stored shape {value.shape} != {p.shape}")
-            p[:] = value.astype(self.dtype)
-        updates = int(store.get("meta.bn_updates")[0])
+            p[:] = store.get(name).astype(self.dtype)
         for name, state in self.bn_states.items():
             state.running_mean[:] = store.get(f"{name}.running_mean").astype(self.dtype)
             state.running_var[:] = store.get(f"{name}.running_var").astype(self.dtype)
-            state.num_updates = updates
+            state.num_updates = int(updates)
         if "features.mean" in store:
             self.set_feature_stats(store.get("features.mean"), store.get("features.std"))
 
@@ -864,68 +873,46 @@ def macs_gru_direction(n_in, hidden, t):
     return 3 * hidden * (n_in + hidden) * t
 
 
-def count_params(cfg: ModelConfig, kind: str) -> int:
-    """Closed-form trainable parameter count (weights, biases, BN gamma/beta)."""
+def _layer_costs(cfg: ModelConfig, kind: str):
+    """Yield (parameters, MACs per frame) for each layer, front-end to heads."""
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    total = 0
-    c_in = cfg.n_feature_channels
-    for _ in cfg.pool_schedule:
-        total += params_conv2d(c_in, cfg.conv_filters)
-        total += params_batchnorm(cfg.conv_filters)
-        c_in = cfg.conv_filters
+    c_in, f_bins = cfg.n_feature_channels, cfg.n_bins
+    for width in cfg.pool_schedule:
+        yield (params_conv2d(c_in, cfg.conv_filters) + params_batchnorm(cfg.conv_filters),
+               macs_conv2d(c_in, cfg.conv_filters, 1, f_bins))
+        c_in, f_bins = cfg.conv_filters, f_bins // width
 
-    width = cfg.temporal_in_width
+    n_in = cfg.temporal_in_width
     if kind == "seldnet":
-        n_in = width
         for _ in range(2):
-            total += 2 * params_gru_direction(n_in, cfg.rnn_hidden)
+            yield (2 * params_gru_direction(n_in, cfg.rnn_hidden),
+                   2 * macs_gru_direction(n_in, cfg.rnn_hidden, 1))
             n_in = 2 * cfg.rnn_hidden
-        fc_in = 2 * cfg.rnn_hidden
     else:
         f = cfg.tcn_filters
-        total += params_conv1x1(width, f)
-        total += cfg.tcn_blocks * (
-            params_conv1d(f, f) + params_batchnorm(f) + params_conv1x1(f, f))
-        total += params_conv1x1(f, cfg.tcn_out_filters)
-        total += params_conv1x1(cfg.tcn_out_filters, cfg.tcn_out_filters)
-        fc_in = cfg.tcn_out_filters
+        yield params_conv1x1(n_in, f), macs_dense(n_in, f, 1)  # 1x1 projection
+        for _ in range(cfg.tcn_blocks):
+            yield (params_conv1d(f, f) + params_batchnorm(f) + params_conv1x1(f, f),
+                   macs_conv1d(f, f, 1) + macs_dense(f, f, 1))
+        out_f = cfg.tcn_out_filters
+        yield params_conv1x1(f, out_f), macs_dense(f, out_f, 1)
+        yield params_conv1x1(out_f, out_f), macs_dense(out_f, out_f, 1)
+        n_in = out_f
 
     for n_out in (cfg.n_sed, 3 * cfg.n_sed):
-        total += params_dense(fc_in, cfg.fc_units)
-        total += params_dense(cfg.fc_units, n_out)
-    return total
+        yield params_dense(n_in, cfg.fc_units), macs_dense(n_in, cfg.fc_units, 1)
+        yield params_dense(cfg.fc_units, n_out), macs_dense(cfg.fc_units, n_out, 1)
+
+
+def count_params(cfg: ModelConfig, kind: str) -> int:
+    """Closed-form trainable parameter count (weights, biases, BN gamma/beta)."""
+    return sum(p for p, _ in _layer_costs(cfg, kind))
 
 
 def count_macs(cfg: ModelConfig, kind: str, t_frames: int) -> int:
-    """Closed-form multiply-accumulate count for a T-frame forward pass."""
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    total = 0
-    c_in = cfg.n_feature_channels
-    f_bins = cfg.n_bins
-    for width in cfg.pool_schedule:
-        total += macs_conv2d(c_in, cfg.conv_filters, t_frames, f_bins)
-        c_in = cfg.conv_filters
-        f_bins //= width
+    """Closed-form multiply-accumulate count for a T-frame forward pass.
 
-    width = cfg.temporal_in_width
-    if kind == "seldnet":
-        n_in = width
-        for _ in range(2):
-            total += 2 * macs_gru_direction(n_in, cfg.rnn_hidden, t_frames)
-            n_in = 2 * cfg.rnn_hidden
-        fc_in = 2 * cfg.rnn_hidden
-    else:
-        f = cfg.tcn_filters
-        total += macs_dense(width, f, t_frames)  # 1x1 projection
-        total += cfg.tcn_blocks * (
-            macs_conv1d(f, f, t_frames) + macs_dense(f, f, t_frames))
-        total += macs_dense(f, cfg.tcn_out_filters, t_frames)
-        total += macs_dense(cfg.tcn_out_filters, cfg.tcn_out_filters, t_frames)
-        fc_in = cfg.tcn_out_filters
-
-    for n_out in (cfg.n_sed, 3 * cfg.n_sed):
-        total += macs_dense(fc_in, cfg.fc_units, t_frames)
-        total += macs_dense(cfg.fc_units, n_out, t_frames)
-    return total
+    Every layer's MACs are linear in T, so this is T times the per-frame sum.
+    """
+    return t_frames * sum(m for _, m in _layer_costs(cfg, kind))

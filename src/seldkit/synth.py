@@ -36,6 +36,10 @@ class EventSpec:
     base_freq_hz: float = 440.0
 
     def __post_init__(self):
+        if self.class_id < 0:
+            raise InputError("class_id must be >= 0")
+        if not (np.isfinite(self.onset_s) and np.isfinite(self.offset_s)):
+            raise InputError("event onset and offset must be finite")
         if self.offset_s <= self.onset_s:
             raise InputError("event offset must be after onset")
         if self.source_kind not in SOURCE_KINDS:
@@ -197,28 +201,31 @@ def write_annotation_csv(path, events):
 def read_annotation_csv(path):
     """Annotation CSV back into EventSpec objects (templates re-derived)."""
     events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ANNOTATION_HEADER:
-            raise FormatError(f"{path}: expected header {','.join(ANNOTATION_HEADER)}")
-        for line in reader:
-            if not line:
-                continue
-            try:
-                class_id = int(line[2])
-                kind, freq = class_template(class_id)
-                events.append(EventSpec(
-                    class_id=class_id,
-                    onset_s=float(line[0]),
-                    offset_s=float(line[1]),
-                    azimuth_deg=float(line[3]),
-                    elevation_deg=float(line[4]),
-                    source_kind=kind,
-                    base_freq_hz=freq,
-                ))
-            except (ValueError, IndexError) as exc:
-                raise FormatError(f"{path}: malformed row {line!r}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ANNOTATION_HEADER:
+                raise FormatError(f"{path}: expected header {','.join(ANNOTATION_HEADER)}")
+            for line in reader:
+                if not line:
+                    continue
+                try:
+                    class_id = int(line[2])
+                    kind, freq = class_template(class_id)
+                    events.append(EventSpec(
+                        class_id=class_id,
+                        onset_s=float(line[0]),
+                        offset_s=float(line[1]),
+                        azimuth_deg=float(line[3]),
+                        elevation_deg=float(line[4]),
+                        source_kind=kind,
+                        base_freq_hz=freq,
+                    ))
+                except (ValueError, IndexError) as exc:
+                    raise FormatError(f"{path}: malformed row {line!r}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
     return events
 
 

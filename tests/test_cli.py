@@ -95,10 +95,12 @@ class TestTrainCommand:
         assert len(lines) == 3  # header + 2 epochs
 
     def test_seldnet_training_rejected(self, tiny_train_cfg, tmp_path, capsys):
-        rc = run_cli("train", "--config", tiny_train_cfg,
-                     "--model", "seldnet", "--out", tmp_path / "x.seldw")
-        assert rc == 1
-        assert "inference-only" in capsys.readouterr().err
+        # `seld train` only builds SELD-TCN, so asking for a kind is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--config", tiny_train_cfg,
+                    "--model", "seldnet", "--out", tmp_path / "x.seldw")
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -106,6 +108,31 @@ class TestTrainCommand:
         rc = run_cli("train", "--config", bad, "--out", tmp_path / "w.seldw")
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"n_sed = 2\n\xff\n")
+        rc = run_cli("train", "--config", bad, "--out", tmp_path / "w.seldw")
+        assert rc == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [b"1.0,2.0,0,10.0,0.0\xff", b"0.5,1.5,-1,10.0,0.0",
+                                     b"nan,1.5,0,10.0,0.0"])
+    def test_corrupt_annotation_exits_one(self, tiny_train_cfg, dataset_dir, tmp_path,
+                                          capsys, row):
+        corrupt = tmp_path / "ds"
+        corrupt.mkdir()
+        for src in dataset_dir.iterdir():
+            (corrupt / src.name).write_bytes(src.read_bytes())
+        csv_path = corrupt / "scene_0000.csv"
+        csv_path.write_bytes(csv_path.read_bytes() + row + b"\n")
+        cfg, extras = models.load_config(tiny_train_cfg)
+        config = tmp_path / "corrupt.cfg"
+        models.save_config(config, cfg, dict(extras, dataset_dir=str(corrupt)))
+        rc = run_cli("train", "--config", config, "--out", tmp_path / "w.seldw",
+                     "--epochs", 1)
+        assert rc == 1
+        assert "scene_0000.csv" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -256,6 +283,25 @@ class TestInferCommand:
                      "--out", tmp_path / "p.csv")
         assert rc == 1
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [
+        ("meta.bn_updates", np.array([np.nan])),
+        ("bn0.running_var", np.ones(3, np.float32)),
+        ("features.mean", np.zeros(3, np.float32)),
+    ])
+    def test_crafted_weights_exit_one(self, trained_weights, sample_wav, tmp_path,
+                                      capsys, name, value):
+        store = models.WeightStore()
+        for entry, array in models.load_weights(trained_weights).items():
+            store.put(entry, value if entry == name else array)
+        crafted = tmp_path / "crafted.seldw"
+        models.save_weights(store, crafted)
+        (tmp_path / "crafted.seldw.cfg").write_bytes(
+            (trained_weights.parent / (trained_weights.name + ".cfg")).read_bytes())
+        rc = run_cli("infer", "--weights", crafted, "--wav", sample_wav,
+                     "--out", tmp_path / "p.csv")
+        assert rc == 1
+        assert name in capsys.readouterr().err
 
     def test_cli_eval_matches_library(self, trained_weights, dataset_dir, tmp_path, capsys):
         # no CLI-layer drift: eval of infer output against ground truth

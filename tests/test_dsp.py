@@ -4,12 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seldkit import dsp
 from seldkit.errors import (
     DegenerateInputError,
     FormatError,
     InputError,
+    SeldError,
     TruncatedFileError,
     UnsupportedError,
 )
@@ -94,16 +96,66 @@ class TestWavIO:
         with pytest.raises(FormatError):
             dsp.read_wav(path)
 
+    @pytest.mark.parametrize("audio_format, bits, channels, payload", [
+        (1, 16, 1, b"\x00" * 3),    # half a sample
+        (3, 32, 1, b"\x00" * 6),
+        (1, 24, 2, b"\x00" * 9),    # whole samples, half a frame
+    ])
+    def test_partial_frame_with_zero_block_align(self, tmp_path, audio_format, bits,
+                                                 channels, payload):
+        path = tmp_path / "p.wav"
+        _write_raw_wav(path, payload, audio_format=audio_format, bits=bits,
+                       channels=channels, rate=8000, block_align=0)
+        with pytest.raises(TruncatedFileError):
+            dsp.read_wav(path)
 
-def _write_raw_wav(path, payload, audio_format, bits, channels, rate):
-    block_align = channels * bits // 8
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "z.wav"
+        _write_raw_wav(path, b"\x00" * 8, audio_format=1, bits=16, channels=2, rate=0)
+        with pytest.raises(FormatError):
+            dsp.read_wav(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=96))
+    def test_fuzz_bytes_after_riff(self, tmp_path_factory, tail):
+        path = tmp_path_factory.mktemp("fuzz") / "bytes.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(tail)) + b"WAVE" + tail)
+        self.parse_or_seld_error(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(audio_format=st.sampled_from([0, 1, 2, 3]),
+           bits=st.sampled_from([0, 8, 16, 24, 32]),
+           channels=st.integers(0, 9),
+           rate=st.sampled_from([0, 1, 8000, 2 ** 32 - 1]),
+           block_align=st.integers(0, 40),
+           payload=st.binary(max_size=48))
+    def test_fuzz_fmt_fields(self, tmp_path_factory, audio_format, bits, channels, rate,
+                             block_align, payload):
+        path = tmp_path_factory.mktemp("fuzz") / "fmt.wav"
+        _write_raw_wav(path, payload, audio_format=audio_format, bits=bits,
+                       channels=channels, rate=rate, block_align=block_align)
+        self.parse_or_seld_error(path)
+
+    @staticmethod
+    def parse_or_seld_error(path):
+        try:
+            clip = dsp.read_wav(path)
+        except SeldError:
+            return
+        assert clip.samples.dtype == np.float32
+        assert 1 <= clip.n_channels <= 8 and clip.sample_rate_hz > 0
+
+
+def _write_raw_wav(path, payload, audio_format, bits, channels, rate, block_align=None):
+    if block_align is None:
+        block_align = channels * bits // 8
     header = b"".join([
         b"RIFF",
         struct.pack("<I", 36 + len(payload)),
         b"WAVE",
         b"fmt ",
         struct.pack("<IHHIIHH", 16, audio_format, channels, rate,
-                    rate * block_align, block_align, bits),
+                    rate * block_align % 2 ** 32, block_align, bits),
         b"data",
         struct.pack("<I", len(payload)),
     ])

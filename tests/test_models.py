@@ -1,11 +1,14 @@
 """Model assembly, loss, weights, config, counters, and training-loop tests."""
 
 import ast
+import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seldkit import models, nn, synth
 from seldkit.errors import (
@@ -16,6 +19,7 @@ from seldkit.errors import (
     ShapeError,
     StateError,
     TruncatedFileError,
+    SeldError,
     UnsupportedError,
 )
 
@@ -40,6 +44,18 @@ def crafted_weights_header(dims):
     """A one-entry SELDW1 header declaring a float32 array of shape `dims`."""
     return (models.WEIGHTS_MAGIC + struct.pack("<IH", 1, 1) + b"w"
             + struct.pack("<BB", 0, len(dims)) + struct.pack(f"<{len(dims)}I", *dims))
+
+
+@st.composite
+def small_configs(draw):
+    """A small random ModelConfig with 1 to 4 pool stages."""
+    pools = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=4))
+    return models.ModelConfig(
+        n_sed=draw(st.integers(1, 4)), n_feature_channels=draw(st.integers(1, 4)),
+        n_bins=math.prod(pools) * draw(st.integers(1, 3)), pool_schedule=pools,
+        conv_filters=draw(st.integers(1, 6)), rnn_hidden=draw(st.integers(1, 6)),
+        tcn_filters=draw(st.integers(1, 8)), tcn_blocks=draw(st.integers(1, 4)),
+        tcn_out_filters=draw(st.integers(1, 6)), fc_units=draw(st.integers(1, 6)))
 
 
 class TestModelConfig:
@@ -96,6 +112,57 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             models.load_config(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "n.cfg"
+        path.write_bytes(b"n_sed = 2\ndataset_dir = \xff\n")
+        with pytest.raises(ConfigError):
+            models.load_config(path)
+
+    @pytest.mark.parametrize("pools", ["0", "8,0,2", "-2,-2,-2,-2", "4294967296,4294967296"])
+    def test_degenerate_pool_schedule_rejected(self, tmp_path, pools):
+        # a zero width, or a product that wraps to 0 in int64, divided by zero
+        path = tmp_path / "p.cfg"
+        path.write_text(f"n_sed = 2\npool_schedule = {pools}\n")
+        with pytest.raises(ConfigError):
+            models.load_config(path)
+
+    KEYS = st.sampled_from([f.name for f in fields(models.ModelConfig)]
+                           + list(models.EXTRA_CONFIG_KEYS) + ["bogus", ""])
+    VALUES = st.one_of(
+        st.integers(-3, 600).map(str),
+        st.floats().map(repr),
+        st.lists(st.integers(-1, 9), min_size=1, max_size=4).map(
+            lambda v: ",".join(map(str, v))),
+        st.sampled_from(["", "8,8,2", "2**64", str(2 ** 64), "1e999", "nan", "0x10"]),
+        st.text(max_size=6),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.tuples(KEYS, VALUES), max_size=6), n_sed=st.booleans())
+    def test_fuzz_lines(self, tmp_path_factory, lines, n_sed):
+        path = tmp_path_factory.mktemp("fuzz") / "f.cfg"
+        text = "".join(f"{k} = {v}\n" for k, v in ([("n_sed", "2")] if n_sed else []) + lines)
+        path.write_text(text, encoding="utf-8")
+        self.parse_or_config_error(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=st.binary(max_size=64))
+    def test_fuzz_bytes(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("fuzz") / "b.cfg"
+        path.write_bytes(b"n_sed = 2\n" + blob)
+        self.parse_or_config_error(path)
+
+    @staticmethod
+    def parse_or_config_error(path):
+        """Parse or raise ConfigError; what parses saves and loads back equal."""
+        try:
+            cfg, extras = models.load_config(path)
+        except ConfigError:
+            return
+        again = path.with_suffix(".again")
+        models.save_config(again, cfg, extras)
+        assert models.load_config(again) == (cfg, extras)
+
 
 class TestWeightStore:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -145,6 +212,47 @@ class TestWeightStore:
         path.write_bytes(crafted_weights_header((0, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)))
         with pytest.raises(FormatError):
             models.load_weights(path)
+
+    def test_non_utf8_entry_name_rejected(self, tmp_path):
+        path = tmp_path / "name.seldw"
+        path.write_bytes(models.WEIGHTS_MAGIC + struct.pack("<IH", 1, 1) + b"\xff"
+                         + struct.pack("<BBI", 0, 1, 1) + b"\x00" * 4)
+        with pytest.raises(FormatError):
+            models.load_weights(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=64))
+    def test_fuzz_bytes_after_magic(self, tmp_path_factory, tail):
+        path = tmp_path_factory.mktemp("fuzz") / "bytes.seldw"
+        path.write_bytes(models.WEIGHTS_MAGIC + tail)
+        self.parse_or_seld_error(path)
+
+    ENTRY = st.tuples(
+        st.binary(max_size=4),                                     # name
+        st.integers(0, 3),                                         # dtype code
+        st.lists(st.sampled_from([0, 1, 2, 3, 65536, 2 ** 32 - 1]), max_size=5),
+        st.binary(max_size=24),                                    # payload
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(ENTRY, max_size=3), count_delta=st.integers(-1, 1))
+    def test_fuzz_entries(self, tmp_path_factory, entries, count_delta):
+        blob = models.WEIGHTS_MAGIC + struct.pack("<I", max(len(entries) + count_delta, 0))
+        for name, code, dims, payload in entries:
+            blob += struct.pack("<H", len(name)) + name + struct.pack("<BB", code, len(dims))
+            blob += struct.pack(f"<{len(dims)}I", *dims) + payload
+        path = tmp_path_factory.mktemp("fuzz") / "entries.seldw"
+        path.write_bytes(blob)
+        self.parse_or_seld_error(path)
+
+    @staticmethod
+    def parse_or_seld_error(path):
+        try:
+            store = models.load_weights(path)
+        except SeldError:
+            return
+        for name, array in store.items():
+            assert isinstance(name, str) and array.dtype in (np.float32, np.float64)
 
     def test_duplicate_put_rejected(self):
         store = models.WeightStore()
@@ -420,6 +528,30 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             models.model_from_store(other, models.load_weights(path))
 
+    @pytest.mark.parametrize("name, value", [
+        ("meta.bn_updates", np.array([np.nan])),
+        ("meta.bn_updates", np.array([np.inf])),
+        ("meta.bn_updates", np.array([-1.0])),
+        ("meta.bn_updates", np.zeros(0)),
+        ("block0.bn.running_var", np.ones(7, np.float32)),
+        ("bn1.running_mean", np.zeros(2, np.float32)),
+        ("features.mean", np.zeros(3, np.float32)),
+        ("features.std", None),  # a mean without its std
+    ])
+    def test_crafted_entry_rejected(self, name, value):
+        cfg = tiny_cfg()
+        model = models.build_model(cfg, "seldtcn", seed=0)
+        model.set_feature_stats(np.zeros(cfg.n_feature_channels),
+                                np.ones(cfg.n_feature_channels))
+        store = models.WeightStore()
+        for entry, array in model.to_store().items():
+            if entry != name:
+                store.put(entry, array)
+            elif value is not None:
+                store.put(entry, value)
+        with pytest.raises((ConfigError, FormatError)):
+            models.model_from_store(cfg, store)
+
 
 class TestCounters:
     def test_dense_layer_hand_count(self):
@@ -432,13 +564,24 @@ class TestCounters:
         assert macs_t1 > macs_head_share
 
     @pytest.mark.parametrize("kind", ["seldtcn", "seldnet"])
-    def test_self_consistency_with_built_model(self, kind):
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=small_configs())
+    def test_self_consistency_with_built_model(self, kind, drawn):
         for cfg in (tiny_cfg(), models.ModelConfig(n_sed=3, n_bins=128,
                                                    conv_filters=8, tcn_filters=12,
                                                    tcn_blocks=3, tcn_out_filters=6,
-                                                   fc_units=7, rnn_hidden=9)):
+                                                   fc_units=7, rnn_hidden=9), drawn):
             model = models.build_model(cfg, kind, seed=0)
             assert model.num_params() == models.count_params(cfg, kind)
+
+    @pytest.mark.parametrize("kind, params, macs", [
+        ("seldnet", 643_436, 1_571_553_280),
+        ("seldtcn", 2_831_724, 2_687_238_144),
+    ])
+    def test_default_config_pinned(self, kind, params, macs):
+        cfg = models.ModelConfig(n_sed=11)
+        assert models.count_params(cfg, kind) == params
+        assert models.count_macs(cfg, kind, 512) == macs
 
     def test_macs_scale_linearly_with_time(self):
         cfg = tiny_cfg()

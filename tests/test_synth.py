@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seldkit import dsp, metrics, synth
-from seldkit.errors import DataError, InputError
+from seldkit.errors import DataError, FormatError, InputError, SeldError
+
+ANNOTATION_HEADER = b"onset_s,offset_s,class_id,azimuth_deg,elevation_deg\n"
 
 
 def simple_event(class_id=0, onset=1.0, offset=2.0, az=0.0, el=0.0, kind="tone", freq=440.0):
@@ -47,6 +50,19 @@ class TestEncodeFoa:
     def test_nonfinite_angles_rejected(self):
         with pytest.raises(InputError):
             synth.encode_foa(np.ones(4), np.nan, 0.0)
+
+
+class TestEventSpec:
+    def test_negative_class_rejected(self):
+        with pytest.raises(InputError):
+            simple_event(class_id=-1)
+
+    @pytest.mark.parametrize("onset, offset", [
+        (float("nan"), 2.0), (1.0, float("nan")), (1.0, float("inf")), (-float("inf"), 2.0),
+    ])
+    def test_non_finite_times_rejected(self, onset, offset):
+        with pytest.raises(InputError):
+            simple_event(onset=onset, offset=offset)
 
 
 class TestSynthScene:
@@ -165,6 +181,54 @@ class TestMakeDataset:
             assert got.offset_s == pytest.approx(orig.offset_s, abs=1e-6)
             assert got.azimuth_deg == orig.azimuth_deg
             assert got.elevation_deg == orig.elevation_deg
+
+    @pytest.mark.parametrize("body", [
+        b"1.0,2.0,0,10.0,0.0\xff\n",   # not UTF-8
+        b"1.0,2.0,-1,10.0,0.0\n",      # negative class id
+        b"nan,2.0,0,10.0,0.0\n",       # would give all-zero targets
+        b"1.0,inf,0,10.0,0.0\n",
+    ])
+    def test_hostile_rows_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(ANNOTATION_HEADER + body)
+        with pytest.raises(FormatError):
+            synth.read_annotation_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.binary(max_size=64))
+    def test_fuzz_bytes_after_header(self, tmp_path_factory, tail):
+        path = tmp_path_factory.mktemp("fuzz") / "bytes.csv"
+        path.write_bytes(ANNOTATION_HEADER + tail)
+        self.parse_or_seld_error(path)
+
+    FIELDS = st.one_of(
+        st.integers(-3, 40).map(str),
+        st.floats().map(repr),
+        st.sampled_from(["", " 1", "nan", "-inf", "1e308", "1_0", "180", "-60", str(2 ** 64)]),
+        st.text(max_size=4),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(FIELDS, max_size=6), max_size=5))
+    def test_fuzz_rows(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("fuzz") / "rows.csv"
+        text = "".join(",".join(r) + "\n" for r in rows)
+        path.write_bytes(ANNOTATION_HEADER + text.encode("utf-8"))
+        self.parse_or_seld_error(path)
+
+    @staticmethod
+    def parse_or_seld_error(path):
+        """Parse or raise SeldError; what parses gives well-formed targets."""
+        try:
+            events = synth.read_annotation_csv(path)
+        except SeldError:
+            return
+        for e in events:
+            assert e.class_id >= 0 and np.isfinite(e.onset_s) and e.onset_s < e.offset_s
+        try:
+            synth.frame_targets(events, 8, 0.5, 3)
+        except DataError:  # a class id beyond n_sed
+            pass
 
 
 class TestFrameTargets:
