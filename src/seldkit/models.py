@@ -77,6 +77,8 @@ class ModelConfig:
             raise ConfigError("tcn_blocks must lie in 1..16")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
+        if not 0.0 <= self.loss_weight_doa < math.inf:
+            raise ConfigError("loss_weight_doa must be finite and >= 0")
 
     @property
     def dilations(self):

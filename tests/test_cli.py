@@ -284,6 +284,16 @@ class TestInferCommand:
         assert rc == 1
         assert "truncated" in capsys.readouterr().err
 
+    def test_nan_wav_exits_one(self, trained_weights, tmp_path, capsys):
+        wav = tmp_path / "nan.wav"
+        clip = dsp.AudioClip(np.full((4, 8000), 0.25, np.float32), 8000)
+        clip.samples[2, 4000] = np.nan
+        dsp.write_wav(wav, clip, encoding="float32")
+        rc = run_cli("infer", "--weights", trained_weights, "--wav", wav,
+                     "--out", tmp_path / "p.csv")
+        assert rc == 1
+        assert "NaN" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, value", [
         ("meta.bn_updates", np.array([np.nan])),
         ("bn0.running_var", np.ones(3, np.float32)),

@@ -1,10 +1,12 @@
 """Tests for audio I/O, resampling, STFT features, and augmentation."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import upfirdn
 
 from seldkit import dsp
 from seldkit.errors import (
@@ -115,6 +117,38 @@ class TestWavIO:
         with pytest.raises(FormatError):
             dsp.read_wav(path)
 
+    @pytest.mark.parametrize("audio_format, bits", [(1, 16), (1, 24), (3, 32)])
+    def test_decode_matches_reference(self, tmp_path, audio_format, bits):
+        # Oracle: every integer code or float value decoded on its own;
+        # scaling by a power of two and the float32 clip are exact.
+        rng = np.random.default_rng(5)
+        if bits == 32:
+            values = np.concatenate([rng.uniform(-1.5, 1.5, 56),
+                                     [np.inf, -np.inf, -0.0, 1.0]]).astype("<f4")
+            expected = np.clip(values, -1.0, 1.0).astype(np.float32)
+            payload = values.tobytes()
+        else:
+            ints = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), 60)
+            ints[:2] = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+            expected = (ints / float(1 << (bits - 1))).astype(np.float32)
+            if bits == 16:
+                payload = ints.astype("<i2").tobytes()
+            else:
+                payload = b"".join(int(v).to_bytes(3, "little", signed=True) for v in ints)
+        path = tmp_path / "d.wav"
+        _write_raw_wav(path, payload, audio_format=audio_format, bits=bits,
+                       channels=3, rate=8000)
+        clip = dsp.read_wav(path)
+        assert clip.samples.dtype == np.float32
+        assert np.array_equal(clip.samples, expected.reshape(-1, 3).T)
+
+    def test_nan_sample_rejected(self, tmp_path):
+        path = tmp_path / "nan.wav"
+        _write_raw_wav(path, struct.pack("<2f", float("nan"), 0.5), audio_format=3,
+                       bits=32, channels=1, rate=8000)
+        with pytest.raises(FormatError):
+            dsp.read_wav(path)
+
     @settings(max_examples=200, deadline=None)
     @given(tail=st.binary(max_size=96))
     def test_fuzz_bytes_after_riff(self, tmp_path_factory, tail):
@@ -185,6 +219,26 @@ class TestResample:
         interior = out.samples[0, 1000:-1000]
         assert np.max(np.abs(interior - 0.5)) < 1e-3
 
+    @pytest.mark.parametrize("source_hz, target_hz", [(48000, 16000), (44100, 16000)])
+    def test_matches_concatenated_copy_reference(self, source_hz, target_hz):
+        # Oracle: each channel filtered from its own zero-padded float64 copy
+        rng = np.random.default_rng(32)
+        clip = dsp.AudioClip(rng.uniform(-1, 1, (3, 9001)).astype(np.float32), source_hz)
+        g = np.gcd(target_hz, source_hz)
+        up, down = target_hz // g, source_hz // g
+        h = dsp._design_polyphase_filter(up, down)
+        half_len = (len(h) - 1) // 2
+        n_pre = (down - (half_len % down)) % down
+        h = np.concatenate([np.zeros(n_pre), h])
+        offset = (half_len + n_pre) // down
+        n_out = clip.n_samples * up // down
+        pad = int(np.ceil(len(h) / up)) + 1
+        expected = np.stack([
+            upfirdn(h, np.concatenate([ch.astype(np.float64), np.zeros(pad)]),
+                    up=up, down=down)[offset:offset + n_out].astype(np.float32)
+            for ch in clip.samples])
+        assert np.array_equal(dsp.resample(clip, target_hz).samples, expected)
+
     def test_output_length_floor(self):
         clip = dsp.AudioClip(
             samples=np.zeros((1, 44101), dtype=np.float32), sample_rate_hz=44100
@@ -230,7 +284,27 @@ class TestResample:
 # STFT features
 # ---------------------------------------------------------------------------
 
+def ref_stft_features(clip):
+    """Frames gathered through an explicit (frames, WIN_LEN) index array."""
+    n_frames = 1 + (clip.n_samples - dsp.WIN_LEN) // dsp.HOP
+    window = np.hamming(dsp.WIN_LEN).astype(np.float64)
+    c = clip.n_channels
+    values = np.empty((2 * c, n_frames, dsp.N_BINS), dtype=np.float32)
+    idx = (np.arange(n_frames) * dsp.HOP)[:, None] + np.arange(dsp.WIN_LEN)[None, :]
+    for ch in range(c):
+        spec = np.fft.rfft(clip.samples[ch][idx] * window, axis=1)[:, 1:dsp.N_BINS + 1]
+        values[ch] = np.abs(spec)
+        values[c + ch] = np.angle(spec)
+    return values
+
+
 class TestStftFeatures:
+    @pytest.mark.parametrize("n", [512, 513, 767, 768, 480000])
+    def test_matches_index_array_reference(self, n):
+        rng = np.random.default_rng(n)
+        clip = dsp.AudioClip(rng.uniform(-1, 1, (2, n)).astype(np.float32), 16000)
+        assert np.array_equal(dsp.stft_features(clip).values, ref_stft_features(clip))
+
     def test_frame_count_example(self):
         n = 512 + 255 * 256
         clip = dsp.AudioClip(np.zeros((1, n), np.float32), 44100)
@@ -299,7 +373,21 @@ class TestStftFeatures:
 # Noise injection
 # ---------------------------------------------------------------------------
 
+def ref_box_muller(rng, n):
+    """Box-Muller with out-of-place temporaries and one concatenation."""
+    m = (n + 1) // 2
+    u1 = 1.0 - rng.random(m)
+    u2 = rng.random(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    return np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+
+
 class TestAddNoise:
+    @pytest.mark.parametrize("n", [1, 2, 7, 4096, 96001])
+    def test_box_muller_matches_reference(self, n):
+        got = dsp._box_muller(np.random.default_rng(n), n)
+        assert np.array_equal(got, ref_box_muller(np.random.default_rng(n), n))
+
     def test_snr_zero_matches_power(self):
         clip = tone(800, 16000, 1.0, n_channels=2)
         spec = dsp.AugmentSpec(kind="awgn", snr_db=0.0, rng_seed=5)
@@ -351,6 +439,17 @@ class TestAddNoise:
         # tiled noise repeats with period 1000
         assert np.allclose(added[:, :1000], added[:, 1000:2000], atol=1e-7)
 
+    def test_matches_out_of_place_reference(self):
+        rng = np.random.default_rng(22)
+        clip = dsp.AudioClip(rng.uniform(-0.8, 0.8, (3, 5000)).astype(np.float32), 8000)
+        noise = dsp.AudioClip(rng.uniform(-0.5, 0.5, (3, 1300)).astype(np.float32), 8000)
+        spec = dsp.AugmentSpec(kind="noise_file", snr_db=3.0)
+        x = clip.samples.astype(np.float64)
+        n = np.tile(noise.samples.astype(np.float64), (1, 4))[:, :5000]
+        gain = np.sqrt(np.mean(x ** 2) / (np.mean(n ** 2) * 10.0 ** 0.3))
+        expected = (x + gain * n).astype(np.float32)
+        assert np.array_equal(dsp.add_noise(clip, spec, noise=noise).samples, expected)
+
     def test_channel_count_mismatch_rejected(self):
         clip = tone(440, 8000, 0.5, n_channels=2)
         noise = tone(100, 8000, 0.5, n_channels=1)
@@ -372,7 +471,82 @@ class TestAddNoise:
 # Reverb
 # ---------------------------------------------------------------------------
 
+# FFT overlap-add against direct convolution: each float32 output sample
+# may differ by at most this fraction of the input peak. The float64 FFT's
+# roundoff (~1e-16) can only flip a sample's final float32 rounding, a step
+# of at most 2**-23 of the peak; a float32 FFT misses it by 3 to 6 times.
+REVERB_TOL = 2.0 ** -23
+
+
+def direct_reverb(clip, spec):
+    """Oracle: np.convolve per channel, truncated and peak-normalized."""
+    ir = dsp.make_reverb_ir(spec.reverb_strength, clip.sample_rate_hz, spec.rng_seed)
+    x = clip.samples.astype(np.float64)
+    wet = np.stack([np.convolve(ch, ir)[:clip.n_samples] for ch in x])
+    peak_out = np.max(np.abs(wet))
+    if peak_out > 0.0:
+        wet *= np.max(np.abs(x)) / peak_out
+    return wet.astype(np.float32)
+
+
 class TestReverb:
+    @staticmethod
+    def check_against_direct(clip, spec):
+        out = dsp.apply_reverb(clip, spec).samples
+        expected = direct_reverb(clip, spec)
+        assert out.dtype == np.float32 and out.shape == expected.shape
+        peak_in = np.max(np.abs(clip.samples))
+        assert np.max(np.abs(out - expected)) <= REVERB_TOL * peak_in
+        return out
+
+    def test_leading_and_trailing_silence(self):
+        sr = 16000
+        x = np.zeros((1, 20000), np.float32)
+        x[0, 5000:9000] = np.random.default_rng(41).uniform(-0.6, 0.6, 4000)
+        spec = dsp.AugmentSpec(kind="reverb", reverb_strength=20.0, rng_seed=2)
+        out = self.check_against_direct(dsp.AudioClip(x, sr), spec)
+        n_ir = len(dsp.make_reverb_ir(20.0, sr, rng_seed=2))
+        # direct convolution is exactly zero outside the span plus the IR
+        assert np.all(out[0, :5000] == 0.0)
+        assert np.all(out[0, 9000 + n_ir - 1:] == 0.0)
+        assert out[0, 9000 + n_ir - 2] != 0.0
+
+    def test_four_channels(self):
+        rng = np.random.default_rng(42)
+        x = rng.uniform(-0.9, 0.9, (4, 12000)).astype(np.float32)
+        x[1, :3000] = 0.0   # leading silence
+        x[2] = 0.0          # silent channel
+        x[3, 7000:] = 0.0   # trailing silence
+        spec = dsp.AugmentSpec(kind="reverb", reverb_strength=30.0, rng_seed=4)
+        out = self.check_against_direct(dsp.AudioClip(x, 16000), spec)
+        assert np.all(out[1, :3000] == 0.0) and np.all(out[2] == 0.0)
+
+    def test_ir_longer_than_clip(self):
+        rng = np.random.default_rng(43)
+        clip = dsp.AudioClip(rng.uniform(-0.5, 0.5, (2, 3000)).astype(np.float32), 16000)
+        spec = dsp.AugmentSpec(kind="reverb", reverb_strength=50.0, rng_seed=5)
+        assert len(dsp.make_reverb_ir(50.0, 16000, rng_seed=5)) > 3000
+        self.check_against_direct(clip, spec)
+
+    def test_all_zero_clip_stays_zero(self):
+        clip = dsp.AudioClip(np.zeros((4, 8000), np.float32), 16000)
+        out = dsp.apply_reverb(clip, dsp.AugmentSpec(kind="reverb", reverb_strength=50.0))
+        assert out.samples.dtype == np.float32 and np.all(out.samples == 0.0)
+
+    def test_transient_memory_bounded(self):
+        # channels are convolved one at a time: the peak stays under three
+        # float64 copies of the clip
+        rng = np.random.default_rng(44)
+        clip = dsp.AudioClip(rng.uniform(-0.5, 0.5, (4, 480000)).astype(np.float32), 16000)
+        spec = dsp.AugmentSpec(kind="reverb", reverb_strength=50.0)
+        tracemalloc.start()
+        try:
+            dsp.apply_reverb(clip, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * clip.samples.size * 8
+
     def test_strength_zero_is_identity(self):
         clip = tone(440, 16000, 0.5, n_channels=4)
         out = dsp.apply_reverb(clip, dsp.AugmentSpec(kind="reverb", reverb_strength=0.0))

@@ -126,6 +126,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             models.load_config(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "-1.0"])
+    def test_bad_loss_weight_doa_rejected(self, tmp_path, weight):
+        path = tmp_path / "w.cfg"
+        path.write_text(f"n_sed = 2\nloss_weight_doa = {weight}\n")
+        with pytest.raises(ConfigError):
+            models.load_config(path)
+
     KEYS = st.sampled_from([f.name for f in fields(models.ModelConfig)]
                            + list(models.EXTRA_CONFIG_KEYS) + ["bogus", ""])
     VALUES = st.one_of(
