@@ -21,6 +21,7 @@ from . import dsp, metrics, models, synth
 from .errors import SeldError
 
 FEATURE_CSV_HEADER = ["feature_channel", "frame", "bin", "value"]
+_FEATURE_CSV_BLOCK_ROWS = 65536
 
 
 def _resolve_seed(seed):
@@ -191,7 +192,7 @@ def run_benchmark(kind, seq_len, repeats, warmup, seed=0, n_classes=11) -> Bench
     )
 
 
-def cmd_bench(args, parser=None):
+def cmd_bench(args):
     report = run_benchmark(
         kind=args.model, seq_len=args.seq_len, repeats=args.repeats,
         warmup=args.warmup, seed=_resolve_seed(args.seed),
@@ -244,14 +245,21 @@ def cmd_featurize(args):
     clip = _load_augmented(args)
     feats = dsp.stft_features(clip)
     c, t, f = feats.values.shape
-    ch_idx, fr_idx, b_idx = np.meshgrid(
-        np.arange(c), np.arange(t), np.arange(f), indexing="ij")
+    # Rows go out a block of frames at a time, so the float64 row table
+    # stays a fixed size however long the clip is.
+    block = max(1, _FEATURE_CSV_BLOCK_ROWS // f)
     with open(args.out, "w", newline="") as fh:
         fh.write(",".join(FEATURE_CSV_HEADER) + "\n")
-        np.savetxt(fh, np.column_stack([
-            ch_idx.reshape(-1), fr_idx.reshape(-1), b_idx.reshape(-1),
-            feats.values.reshape(-1),
-        ]), fmt=("%d", "%d", "%d", "%.7g"), delimiter=",")
+        for ch in range(c):
+            for t0 in range(0, t, block):
+                values = feats.values[ch, t0:t0 + block]
+                rows = np.empty(values.shape + (4,))
+                rows[..., 0] = ch
+                rows[..., 1] = np.arange(t0, t0 + len(values))[:, None]
+                rows[..., 2] = np.arange(f)
+                rows[..., 3] = values
+                np.savetxt(fh, rows.reshape(-1, 4), fmt=("%d", "%d", "%d", "%.7g"),
+                           delimiter=",")
     print(f"features: {c} channels x {t} frames x {f} bins -> {args.out}")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import oaconvolve, upfirdn
+from scipy.signal import oaconvolve, resample_poly
 
 from .errors import (
     DegenerateInputError,
@@ -262,25 +262,13 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
 
     g = np.gcd(target_hz, clip.sample_rate_hz)
     up, down = target_hz // g, clip.sample_rate_hz // g
-    h = _design_polyphase_filter(up, down)
-
-    # Pre-pad the filter so its group delay is an integer number of output
-    # samples, then cut that delay off the front.
-    half_len = (len(h) - 1) // 2
-    n_pre = (down - (half_len % down)) % down
-    h = np.concatenate([np.zeros(n_pre), h])
-    offset = (half_len + n_pre) // down
+    # resample_poly applies the gain `up` itself
+    h = _design_polyphase_filter(up, down) / up
 
     n_out = clip.n_samples * up // down
     out = np.empty((clip.n_channels, n_out), dtype=np.float32)
-    # Zero-pad the tail so the polyphase output covers every output index;
-    # one float64 buffer serves every channel.
-    pad = int(np.ceil(len(h) / up)) + 1
-    x = np.zeros(clip.n_samples + pad)
     for c in range(clip.n_channels):
-        x[:clip.n_samples] = clip.samples[c]
-        y = upfirdn(h, x, up=up, down=down)
-        out[c] = y[offset:offset + n_out].astype(np.float32)
+        out[c] = resample_poly(clip.samples[c], up, down, window=h)[:n_out]
     return AudioClip(samples=out, sample_rate_hz=target_hz)
 
 

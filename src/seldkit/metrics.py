@@ -258,12 +258,12 @@ def write_prediction_csv(path, ann):
                 writer.writerow([t, c, f"{x:.10g}", f"{y:.10g}", f"{z:.10g}"])
 
 
-def read_prediction_csv(path, n_frames=None):
+def read_prediction_csv(path):
     """Read interchange CSV into frame annotations.
 
-    Returns (annotations, n_frames). Without an explicit n_frames the list
-    spans up to the largest frame index present. Zero vectors become None
-    entries (direction unusable); all other vectors are normalized.
+    Returns (annotations, n_frames); the list spans up to the largest frame
+    index present. Zero vectors become None entries (direction unusable);
+    all other vectors are normalized.
     Undecodable bytes are a FormatError; indices beyond MAX_FRAMES or
     MAX_CLASSES and vectors without a finite length are a DataError.
     """
@@ -291,11 +291,7 @@ def read_prediction_csv(path, n_frames=None):
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
 
-    max_frame = max((r[0] for r in rows), default=-1)
-    if n_frames is None:
-        n_frames = max_frame + 1
-    elif max_frame >= n_frames:
-        raise DataError(f"{path}: frame index {max_frame} >= n_frames {n_frames}")
+    n_frames = 1 + max((r[0] for r in rows), default=-1)
     ann = [dict() for _ in range(n_frames)]
     for t, c, x, y, z in rows:
         v = np.array([x, y, z])

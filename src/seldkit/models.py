@@ -1,7 +1,7 @@
 """SELDnet and SELD-TCN assembly: forward passes for both, backprop and
 training for the TCN variant, complexity counters, and weight persistence.
 
-Both models share a convolutional front-end (three conv/BN/ReLU/pool blocks
+Both models share a convolutional front-end (three conv/BN/pool/ReLU blocks
 that collapse the frequency axis) and twin fully-connected heads (sigmoid
 SED activities, tanh Cartesian DOA coordinates). They differ only in the
 temporal block between the two: stacked bidirectional GRUs in the baseline,
@@ -401,11 +401,10 @@ class SeldModel:
             stats = [] if cache is not None else None
             a = nn.conv2d(x, P[f"conv{i}.w"], P[f"conv{i}.b"], cols_out=cols)
             n = nn.batchnorm(a, self.bn_states[f"bn{i}"], self.mode, stats_out=stats)
-            r = nn.relu(n)
-            pooled = nn.maxpool_freq(r, width)
+            p = nn.maxpool_freq(n, width)
             if cache is not None:
-                cache["front"].append((x, a, n, r, cols[0], stats[0]))
-            x = pooled
+                cache["front"].append((x, a, n, p, cols[0], stats[0]))
+            x = nn.relu(p)
         return x
 
     def _temporal_forward(self, h, cache, dropout_rng):
@@ -442,13 +441,9 @@ class SeldModel:
         x = self._check_input(features)
         t_len = x.shape[1]
         x3 = self._front_forward(x, cache)
-        c_f, _, f3 = x3.shape
-        h = x3.transpose(1, 0, 2).reshape(t_len, c_f * f3)
+        h = x3.transpose(1, 0, 2).reshape(t_len, -1)
         q = self._temporal_forward(h, cache, dropout_rng)
-        pred = self._heads_forward(q, cache)
-        if cache is not None:
-            cache["reshape"] = (c_f, f3)
-        return pred, cache
+        return self._heads_forward(q, cache), cache
 
     def _gru_params(self, layer, direction):
         pre = f"gru{layer}.{direction}"
@@ -470,7 +465,7 @@ class SeldModel:
         dropped, mask = nn.spatial_dropout(g, self.cfg.dropout_rate, self.mode, rng)
         s = nn.conv1x1(dropped, P[f"block{k}.skip.w"], P[f"block{k}.skip.b"])
         if cache is not None:
-            cache["blocks"].append((x, z, bn_out, g, dropped, mask, stats[0]))
+            cache["blocks"].append((x, z, bn_out, dropped, mask, stats[0]))
         return x + s, s
 
     def tcn_forward(self, h, cache=None, dropout_rng=None):
@@ -478,7 +473,8 @@ class SeldModel:
         if self.kind != "seldtcn":
             raise UnsupportedError("tcn_forward requires a seldtcn model")
         P = self.params
-        u = nn.conv1x1(np.ascontiguousarray(h.T), P["proj.w"], P["proj.b"])
+        h_t = np.ascontiguousarray(h.T)
+        u = nn.conv1x1(h_t, P["proj.w"], P["proj.b"])
         skip_sum = None
         for k in range(self.cfg.tcn_blocks):
             u, s = self.resblock_forward(u, k, cache=cache, dropout_rng=dropout_rng)
@@ -488,7 +484,7 @@ class SeldModel:
         v3 = nn.relu(v2)
         v4 = nn.conv1x1(v3, P["out2.w"], P["out2.b"])
         if cache is not None:
-            cache["tcn"] = (np.ascontiguousarray(h.T), skip_sum, v1, v2, v3)
+            cache["tcn"] = (h_t, skip_sum, v1, v2, v3)
         return np.ascontiguousarray(v4.T)
 
     # -- backward (SELD-TCN only) --------------------------------------------
@@ -523,7 +519,7 @@ class SeldModel:
         # so the residual gradient enters the chain as zero.
         d_u = np.zeros_like(d_skip)
         for k in reversed(range(self.cfg.tcn_blocks)):
-            x_in, z, bn_out, g, dropped, mask, stats = cache["blocks"][k]
+            x_in, z, bn_out, dropped, mask, stats = cache["blocks"][k]
             d_s = d_skip + d_u
             d_dropped, grads[f"block{k}.skip.w"], grads[f"block{k}.skip.b"] = \
                 nn.conv1x1_backward(d_s, dropped, P[f"block{k}.skip.w"])
@@ -539,13 +535,14 @@ class SeldModel:
         d_ht, grads["proj.w"], grads["proj.b"] = nn.conv1x1_backward(d_u, h_t, P["proj.w"])
 
         # undo reshape: (T, W) -> (C_f, T, F3)
-        c_f, f3 = cache["reshape"]
-        d_x3 = np.ascontiguousarray(d_ht.T.reshape(-1, c_f, f3).transpose(1, 0, 2))
+        c_f = self.cfg.conv_filters
+        d_x3 = np.ascontiguousarray(
+            d_ht.T.reshape(-1, c_f, self.cfg.temporal_in_width // c_f).transpose(1, 0, 2))
 
         for i in reversed(range(len(self.cfg.pool_schedule))):
-            x_in, a, n_out, r, cols, stats = cache["front"][i]
-            d_r = nn.maxpool_freq_backward(d_x3, r, self.cfg.pool_schedule[i])
-            d_n = nn.relu_backward(d_r, n_out)
+            x_in, a, n_out, p, cols, stats = cache["front"][i]
+            d_p = nn.relu_backward(d_x3, p)
+            d_n = nn.maxpool_freq_backward(d_p, n_out, self.cfg.pool_schedule[i])
             d_a, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = \
                 nn.batchnorm_backward(d_n, a, self.bn_states[f"bn{i}"], stats=stats)
             d_x3, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = \
@@ -601,7 +598,7 @@ class SeldModel:
 
 
 def _new_cache():
-    return {"front": [], "blocks": [], "tcn": None, "heads": None, "reshape": None}
+    return {"front": [], "blocks": [], "tcn": None, "heads": None}
 
 
 def build_model(cfg: ModelConfig, kind: str, seed: int = 0, dtype=np.float32) -> SeldModel:

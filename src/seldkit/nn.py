@@ -86,8 +86,7 @@ def conv2d_backward(dy, x, w, need_dx=True, cols=None):
     to avoid rebuilding it.
     """
     c_out = w.shape[0]
-    c_in, t, f = x.shape
-    dy2 = dy.reshape(c_out, t * f)
+    dy2 = dy.reshape(c_out, -1)
     if cols is None:
         cols = _im2col_3x3(x)
     dw = (dy2 @ cols.T).reshape(w.shape)
@@ -96,8 +95,8 @@ def conv2d_backward(dy, x, w, need_dx=True, cols=None):
     if need_dx:
         # dx is the 'full' correlation of dy with spatially flipped,
         # transposed kernels, which is again a 3x3 'same' pass over dy.
-        w_t = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-        dx = np.matmul(w_t.reshape(c_in, -1), _im2col_3x3(dy)).reshape(c_in, t, f)
+        w_t = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        dx = conv2d(dy, w_t, np.zeros(w.shape[1], dtype=dy.dtype))
     return dx, dw, db
 
 
@@ -120,13 +119,14 @@ def _pool_max(y, width):
 
 
 def conv2d_relu_pool(x, w, b, width):
-    """Fused inference path: conv2d + bias + ReLU + frequency max pool.
+    """Fused inference path: conv2d + bias + frequency max pool + ReLU.
 
-    Equivalent to maxpool_freq(relu(conv2d(x, w, b)), width) up to float
-    rounding in the gemm; the pooling itself is the same code as
-    maxpool_freq, so it is bit-identical to it. The input is padded once and
-    the patch matrix is built one time tile at a time, so neither the full
-    (C*9, T*F) patch matrix nor the full pre-pool activation materializes.
+    Equivalent to relu(maxpool_freq(conv2d(x, w, b), width)), the layer
+    order training runs unfused, up to float rounding in the gemm; the
+    pooling itself is the same code as maxpool_freq, so it is bit-identical
+    to it. The input is padded once and the patch matrix is built one time
+    tile at a time, so neither the full (C*9, T*F) patch matrix nor the full
+    pre-pool activation materializes.
     BN folding happens in the caller (scale into w and b beforehand).
     """
     c, t, f = x.shape
@@ -343,9 +343,7 @@ def spatial_dropout(x, rate=0.5, mode="train", rng=None):
         raise InputError("dropout rate must lie in [0, 1)")
     if mode == "infer" or rate == 0.0:
         return x, np.ones(x.shape[0], dtype=x.dtype)
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
-    keep = (rng.random(x.shape[0]) >= rate).astype(x.dtype)
+    keep = (np.random.default_rng(rng).random(x.shape[0]) >= rate).astype(x.dtype)
     mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)
     return x * mask[:, None], mask
 

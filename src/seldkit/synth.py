@@ -21,6 +21,7 @@ FADE_S = 0.010
 PEAK_NORM = 0.9
 ANNOTATION_HEADER = ["onset_s", "offset_s", "class_id", "azimuth_deg", "elevation_deg"]
 SOURCE_KINDS = ("tone", "noise_burst", "chirp")
+_TRAIN_FRACTION, _VAL_FRACTION = 0.6, 0.2  # the test split takes the rest
 
 
 @dataclass
@@ -229,7 +230,7 @@ def read_annotation_csv(path):
     return events
 
 
-def make_dataset(n_scenes, class_count, out_dir, split=(0.6, 0.2, 0.2), seed=0,
+def make_dataset(n_scenes, class_count, out_dir, seed=0,
                  duration_s=10.0, sample_rate_hz=16000, max_overlap=3):
     """Write a synthetic dataset: WAV + CSV per scene, plus split manifests.
 
@@ -241,8 +242,6 @@ def make_dataset(n_scenes, class_count, out_dir, split=(0.6, 0.2, 0.2), seed=0,
         raise InputError("need at least 5 scenes for non-empty splits")
     if class_count < 1:
         raise InputError("class_count must be >= 1")
-    if abs(sum(split) - 1.0) > 1e-9:
-        raise InputError("split fractions must sum to 1")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -261,8 +260,8 @@ def make_dataset(n_scenes, class_count, out_dir, split=(0.6, 0.2, 0.2), seed=0,
         write_annotation_csv(out / f"{name}.csv", events)
         names.append(f"{name}.wav")
 
-    n_train = int(n_scenes * split[0])
-    n_val = int(n_scenes * split[1])
+    n_train = int(n_scenes * _TRAIN_FRACTION)
+    n_val = int(n_scenes * _VAL_FRACTION)
     manifest = {
         "train": names[:n_train],
         "val": names[n_train:n_train + n_val],

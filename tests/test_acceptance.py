@@ -173,10 +173,12 @@ class TestCriterion1Gradients:
         model.mode = "train"
         _, cache = model.forward_cached(x, dropout_rng=np.random.default_rng(999))
         margin = np.inf
-        for (_, _, n, r, _, _), width in zip(cache["front"], model.cfg.pool_schedule):
+        for (_, _, n, _, _, _), width in zip(cache["front"], model.cfg.pool_schedule):
             margin = min(margin, float(np.min(np.abs(n))))
-            c, t, f = r.shape
-            win = np.sort(r.reshape(c, t, f // width, width), axis=3)
+            # screened on n, not relu(n): when a window's top exceeds theta,
+            # ReLU keeps it, and a negative runner-up only widens the gap
+            c, t, f = n.shape
+            win = np.sort(n.reshape(c, t, f // width, width), axis=3)
             gap = win[..., -1] - win[..., -2]
             ties = (gap < theta) & (win[..., -1] > theta)
             if ties.any():

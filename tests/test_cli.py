@@ -1,6 +1,7 @@
 """End-to-end CLI tests: flags, exit codes, file outputs, determinism."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,7 +228,44 @@ def sample_wav(tmp_path):
     return path
 
 
+def meshgrid_feature_csv(path, values):
+    """Reference writer: one float64 row table over every feature value."""
+    c, t, f = values.shape
+    ch_idx, fr_idx, b_idx = np.meshgrid(
+        np.arange(c), np.arange(t), np.arange(f), indexing="ij")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(cli.FEATURE_CSV_HEADER) + "\n")
+        np.savetxt(fh, np.column_stack([
+            ch_idx.reshape(-1), fr_idx.reshape(-1), b_idx.reshape(-1),
+            values.reshape(-1),
+        ]), fmt=("%d", "%d", "%d", "%.7g"), delimiter=",")
+
+
 class TestFeaturizeCommand:
+    @pytest.mark.parametrize("block_rows", [None, 3 * 256, 100])
+    def test_matches_meshgrid_reference(self, sample_wav, tmp_path, monkeypatch, block_rows):
+        if block_rows is not None:  # split each channel's 61 frames mid-clip
+            monkeypatch.setattr(cli, "_FEATURE_CSV_BLOCK_ROWS", block_rows)
+        out, ref = tmp_path / "f.csv", tmp_path / "ref.csv"
+        assert run_cli("featurize", "--wav", sample_wav, "--out", out) == 0
+        meshgrid_feature_csv(ref, dsp.stft_features(dsp.read_wav(sample_wav)).values)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_transient_memory_bounded(self, tmp_path):
+        # 14 frames keep the traced write short; the meshgrid writer's peak
+        # is about 16x the feature tensor at any length
+        x = np.random.default_rng(5).uniform(-0.5, 0.5, (4, 4000)).astype(np.float32)
+        wav = tmp_path / "a.wav"
+        dsp.write_wav(wav, dsp.AudioClip(x, 16000), encoding="float32")
+        feature_bytes = dsp.stft_features(dsp.read_wav(wav)).values.nbytes
+        tracemalloc.start()
+        try:
+            assert run_cli("featurize", "--wav", wav, "--out", tmp_path / "f.csv") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * feature_bytes
+
     def test_frame_count_in_csv(self, sample_wav, tmp_path):
         out = tmp_path / "f.csv"
         rc = run_cli("featurize", "--wav", sample_wav, "--out", out)

@@ -3,6 +3,7 @@
 import ast
 import math
 import struct
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -611,6 +612,21 @@ def make_toy_sequences(cfg, n, seed=0):
 
 
 class TestTraining:
+    def test_loss_and_grads_memory_bounded(self):
+        # criterion 5's toy config; the cache holds only what backward reads
+        cfg = models.ModelConfig(n_sed=2, conv_filters=32, tcn_filters=32, tcn_blocks=4,
+                                 tcn_out_filters=128, fc_units=128, seq_len=256)
+        model = models.build_model(cfg, "seldtcn", seed=7)
+        seq = make_toy_sequences(cfg, 1)[0]
+        tracemalloc.start()
+        try:
+            models.loss_and_grads(model, seq.features, seq.sed, seq.doa,
+                                  dropout_rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2 ** 20
+
     def test_overfit_single_batch(self):
         # run-based oracle: 200 steps on one fixed batch cut the loss >= 10x
         cfg = tiny_cfg(dropout_rate=0.0, conv_filters=6, tcn_filters=12,
@@ -757,3 +773,14 @@ class TestBenchmarkTracerContract:
         model = models.build_model(tiny_cfg(), "seldtcn", seed=0)
         assert model.kind == "seldtcn"
         assert isinstance(model.cfg, models.ModelConfig)
+
+    def test_reference_layer_names_exist(self):
+        # perfbench/reference.py is the benchmark's correctness oracle; it
+        # reaches the layers as attributes of the `nn` module it is handed
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+        names = {node.attr for node in ast.walk(ast.parse(source.read_text()))
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "nn"}
+        assert {"conv2d", "batchnorm", "relu", "maxpool_freq"} <= names
+        for name in names:
+            assert callable(getattr(nn, name, None)), name

@@ -41,6 +41,13 @@ def ref_conv2d_relu_pool(x, w, b, width):
     return np.maximum(ref_maxpool_freq(y, width) + b[:, None, None], 0.0)
 
 
+def ref_conv2d_backward_dx(dy, w):
+    """conv2d's input gradient as its own im2col of dy and one gemm."""
+    w_t = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    c_in, (_, t, f) = w.shape[1], dy.shape
+    return np.matmul(w_t.reshape(c_in, -1), nn._im2col_3x3(dy)).reshape(c_in, t, f)
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
@@ -91,6 +98,18 @@ class TestConv2d:
         rep = nn.grad_check(loss, {"x": x, "w": w, "b": b}, {"x": dx, "w": dw, "b": db})
         assert rep.max_rel_err < 1e-4, str(rep)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_dx_matches_im2col_reference(self, dtype):
+        rng = np.random.default_rng(3)
+        for c_in, c_out, t, f in [(8, 32, 17, 256), (32, 32, 9, 32), (3, 2, 1, 1)]:
+            x = rng.standard_normal((c_in, t, f)).astype(dtype)
+            w = (rng.standard_normal((c_out, c_in, 3, 3)) * 0.1).astype(dtype)
+            dy = rng.standard_normal((c_out, t, f)).astype(dtype)
+            dy[:, ::2] = 0.0  # the zero rows a pool scatter leaves
+            dx, _, _ = nn.conv2d_backward(dy, x, w)
+            assert dx.dtype == dtype
+            assert dx.tobytes() == ref_conv2d_backward_dx(dy, w).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # maxpool_freq
@@ -127,6 +146,24 @@ class TestMaxpoolFreq:
         dx = nn.maxpool_freq_backward(dy, x, 2)
         assert np.array_equal(dx, [[[0.0, 3.0, 0.0, 7.0]]])
 
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    def test_pool_then_relu_matches_relu_then_pool(self, width):
+        """Training pools before the ReLU; the old order is the reference."""
+        rng = np.random.default_rng(10 + width)
+        x = rng.standard_normal((3, 7, 32)).astype(np.float32)
+        ties = rng.integers(-2, 3, size=(3, 7, 32)).astype(np.float32)
+        negative = -np.abs(x)  # every window's max is <= 0
+        zeros = x * (rng.random(x.shape) < 0.5)  # exact zeros, some windows all zero
+        zeros[0] = 0.0
+        for n in (x, ties, negative, zeros, -ties):
+            dy = rng.standard_normal((3, 7, 32 // width)).astype(np.float32)
+            r = nn.relu(n)
+            p = nn.maxpool_freq(n, width)
+            assert np.array_equal(nn.relu(p), nn.maxpool_freq(r, width))
+            new = nn.maxpool_freq_backward(nn.relu_backward(dy, p), n, width)
+            old = nn.relu_backward(nn.maxpool_freq_backward(dy, r, width), n)
+            assert new.tobytes() == old.tobytes()
+
 
 class TestConv2dReluPool:
     def test_matches_composed_ops(self):
@@ -137,7 +174,7 @@ class TestConv2dReluPool:
             w = (rng.standard_normal((c_out, c_in, 3, 3)) * 0.1).astype(np.float32)
             b = rng.standard_normal(c_out).astype(np.float32)
             fused = nn.conv2d_relu_pool(x, w, b, width)
-            composed = nn.maxpool_freq(nn.relu(nn.conv2d(x, w, b)), width)
+            composed = nn.relu(nn.maxpool_freq(nn.conv2d(x, w, b), width))
             assert fused.shape == composed.shape
             assert np.allclose(fused, composed, atol=1e-5)
 
