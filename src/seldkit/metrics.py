@@ -13,7 +13,6 @@ still count toward frame cardinality but never enter angle matching).
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,12 +290,17 @@ def read_prediction_csv(path):
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
 
+    v = np.fromiter((f for r in rows for f in r[2:]), np.float64, 3 * len(rows)).reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norm))
+    if bad.size:
+        t, c = rows[bad[0]][:2]
+        raise DataError(f"{path}: direction of frame {t}, class {c} has no finite length")
+    positive = norm > 0.0
+    np.divide(v, norm[:, None], out=v, where=positive[:, None])
     n_frames = 1 + max((r[0] for r in rows), default=-1)
     ann = [dict() for _ in range(n_frames)]
-    for t, c, x, y, z in rows:
-        v = np.array([x, y, z])
-        norm = np.linalg.norm(v)
-        if not math.isfinite(norm):
-            raise DataError(f"{path}: direction of frame {t}, class {c} has no finite length")
-        ann[t][c] = v / norm if norm > 0.0 else None
+    for (t, c, *_), u, ok in zip(rows, v, positive.tolist()):
+        ann[t][c] = u if ok else None
     return ann, n_frames

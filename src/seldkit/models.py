@@ -387,14 +387,9 @@ class SeldModel:
             # fused fast path: BN constants fold into the conv, and the
             # conv/ReLU/pool run tile-wise without the full activation
             for i, width in enumerate(self.cfg.pool_schedule):
-                state = self.bn_states[f"bn{i}"]
-                if state.num_updates == 0:
-                    raise StateError("batchnorm: running statistics were never updated")
-                scale = state.gamma / np.sqrt(state.running_var + nn.BN_EPS)
-                shift = state.beta - state.running_mean * scale
-                w = P[f"conv{i}.w"] * scale[:, None, None, None]
-                b = P[f"conv{i}.b"] * scale + shift
-                x = nn.conv2d_relu_pool(x, w.astype(self.dtype), b.astype(self.dtype), width)
+                scale, shift = nn.batchnorm_affine(self.bn_states[f"bn{i}"], self.dtype)
+                x = nn.conv2d_relu_pool(x, P[f"conv{i}.w"] * scale[:, None, None, None],
+                                        P[f"conv{i}.b"] * scale + shift, width)
             return x
         for i, width in enumerate(self.cfg.pool_schedule):
             cols = [] if cache is not None else None
@@ -403,7 +398,7 @@ class SeldModel:
             n = nn.batchnorm(a, self.bn_states[f"bn{i}"], self.mode, stats_out=stats)
             p = nn.maxpool_freq(n, width)
             if cache is not None:
-                cache["front"].append((x, a, n, p, cols[0], stats[0]))
+                cache["front"].append((a, n, p, cols[0], stats[0]))
             x = nn.relu(p)
         return x
 
@@ -540,13 +535,13 @@ class SeldModel:
             d_ht.T.reshape(-1, c_f, self.cfg.temporal_in_width // c_f).transpose(1, 0, 2))
 
         for i in reversed(range(len(self.cfg.pool_schedule))):
-            x_in, a, n_out, p, cols, stats = cache["front"][i]
+            a, n_out, p, cols, stats = cache["front"][i]
             d_p = nn.relu_backward(d_x3, p)
             d_n = nn.maxpool_freq_backward(d_p, n_out, self.cfg.pool_schedule[i])
             d_a, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = \
                 nn.batchnorm_backward(d_n, a, self.bn_states[f"bn{i}"], stats=stats)
             d_x3, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = \
-                nn.conv2d_backward(d_a, x_in, P[f"conv{i}.w"], need_dx=(i > 0), cols=cols)
+                nn.conv2d_backward(d_a, None, P[f"conv{i}.w"], need_dx=(i > 0), cols=cols)
         return grads
 
     # -- persistence ----------------------------------------------------------

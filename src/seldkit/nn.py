@@ -72,8 +72,7 @@ def conv2d(x, w, b, cols_out=None):
     cols = _im2col_3x3(x)
     if cols_out is not None:
         cols_out.append(cols)
-    y = np.empty((c_out, t * f), dtype=x.dtype)
-    np.matmul(w.reshape(c_out, -1), cols, out=y)
+    y = w.reshape(c_out, -1) @ cols
     y += b[:, None]
     return y.reshape(c_out, t, f)
 
@@ -83,7 +82,7 @@ def conv2d_backward(dy, x, w, need_dx=True, cols=None):
 
     Pass need_dx=False at the first layer to skip the most expensive gemm
     (dx comes back as None), and the forward pass's patch matrix as `cols`
-    to avoid rebuilding it.
+    to avoid rebuilding it (x is then not read).
     """
     c_out = w.shape[0]
     dy2 = dy.reshape(c_out, -1)
@@ -198,17 +197,30 @@ class BatchNormState:
         )
 
 
+def batchnorm_affine(state: BatchNormState, dtype):
+    """Infer-mode BN as per-channel (scale, shift): batchnorm(x) = x * scale + shift."""
+    if state.num_updates == 0:
+        raise StateError("batchnorm: running statistics were never updated")
+    return _bn_scale_shift(state, state.running_mean.astype(dtype),
+                           state.running_var.astype(dtype))
+
+
+def _bn_scale_shift(state: BatchNormState, mean, var):
+    scale = state.gamma.astype(mean.dtype) / np.sqrt(var + BN_EPS)
+    return scale, state.beta.astype(mean.dtype) - mean * scale
+
+
 def batchnorm(x, state: BatchNormState, mode: str, stats_out=None):
     """Normalize per channel (axis 0) over every remaining axis.
 
     Train mode uses the statistics of `x` and folds them into the running
     estimates with momentum BN_MOMENTUM; infer mode uses the running
-    estimates and requires at least one prior update. Passing a list as
-    stats_out stashes the train-mode (mean, var) there for backward reuse.
+    estimates (see batchnorm_affine). Passing a list as stats_out stashes
+    the train-mode (mean, var) there for backward reuse.
     """
-    axes = tuple(range(1, x.ndim))
     shape = (-1,) + (1,) * (x.ndim - 1)
     if mode == "train":
+        axes = tuple(range(1, x.ndim))
         mean = x.mean(axis=axes)
         var = x.var(axis=axes)
         if stats_out is not None:
@@ -217,16 +229,12 @@ def batchnorm(x, state: BatchNormState, mode: str, stats_out=None):
         state.running_mean[:] = m * state.running_mean + (1 - m) * mean
         state.running_var[:] = m * state.running_var + (1 - m) * var
         state.num_updates += 1
+        scale, shift = _bn_scale_shift(state, mean, var)
     elif mode == "infer":
-        if state.num_updates == 0:
-            raise StateError("batchnorm: running statistics were never updated")
-        mean = state.running_mean.astype(x.dtype)
-        var = state.running_var.astype(x.dtype)
+        scale, shift = batchnorm_affine(state, x.dtype)
     else:
         raise InputError(f"batchnorm: unknown mode {mode!r}")
-    scale = (state.gamma.astype(x.dtype) / np.sqrt(var + BN_EPS)).reshape(shape)
-    shift = state.beta.astype(x.dtype).reshape(shape) - mean.reshape(shape) * scale
-    return x * scale + shift
+    return x * scale.reshape(shape) + shift.reshape(shape)
 
 
 def batchnorm_backward(dy, x, state: BatchNormState, stats=None):
@@ -261,49 +269,41 @@ def batchnorm_backward(dy, x, state: BatchNormState, stats=None):
 # Non-causal dilated 1-D convolution (kernel 3)
 # ---------------------------------------------------------------------------
 
+def _taps_1d(x, d):
+    """(C, T) -> (3C, T) taps x(t-d), x(t), x(t+d), rows (k, c), zero outside x."""
+    c, t = x.shape
+    s = min(d, t)
+    taps = np.empty((3, c, t), dtype=x.dtype)
+    taps[0, :, :s] = taps[2, :, t - s:] = 0.0
+    taps[0, :, s:] = x[:, :t - s]
+    taps[1] = x
+    taps[2, :, :t - s] = x[:, s:]
+    return taps.reshape(3 * c, t)
+
+
 def dilated_conv1d(x, w, b, dilation):
     """y[o, t] = b[o] + sum_c sum_k x[c, t + k*d] * w[o, c, k+1], k in {-1, 0, 1}.
 
-    Symmetric zero padding of `dilation` on both sides keeps the length, so
-    the output at t sees `dilation` frames into the future.
+    Zero padding of `dilation` on both sides keeps the length, so the output
+    at t sees `dilation` frames ahead; one gemm over the (3C, T) tap matrix.
     """
     if x.ndim != 2 or w.ndim != 3 or w.shape[1] != x.shape[0] or w.shape[2] != 3:
         raise ShapeError(f"dilated_conv1d: input {x.shape} incompatible with weights {w.shape}")
     d = int(dilation)
     if d < 1:
         raise InputError("dilation must be >= 1")
-    c, t = x.shape
-    xp = np.zeros((c, t + 2 * d), dtype=x.dtype)
-    xp[:, d:d + t] = x
-    # tap slices of (O, C, 3) weights are strided; contiguous copies keep
-    # the three matmuls on the fast gemm path
-    w_m1, w_0, w_p1 = (np.ascontiguousarray(w[:, :, k]) for k in range(3))
-    y = np.empty((w.shape[0], t), dtype=x.dtype)
-    np.matmul(w_0, x, out=y)
-    y += w_m1 @ xp[:, 0:t]          # k = -1 taps
-    y += w_p1 @ xp[:, 2 * d:2 * d + t]  # k = +1 taps
+    y = w.transpose(0, 2, 1).reshape(w.shape[0], -1) @ _taps_1d(x, d)
     y += b[:, None]
     return y
 
 
 def dilated_conv1d_backward(dy, x, w, dilation):
-    d = int(dilation)
-    c, t = x.shape
-    o = w.shape[0]
-    xp = np.zeros((c, t + 2 * d), dtype=x.dtype)
-    xp[:, d:d + t] = x
-    dyp = np.zeros((o, t + 2 * d), dtype=dy.dtype)
-    dyp[:, d:d + t] = dy
-
-    w_m1, w_0, w_p1 = (np.ascontiguousarray(w[:, :, k].T) for k in range(3))
-    dx = w_0 @ dy
-    dx += w_m1 @ dyp[:, 2 * d:2 * d + t]
-    dx += w_p1 @ dyp[:, 0:t]
-    dw = np.stack(
-        [dy @ xp[:, 0:t].T, dy @ x.T, dy @ xp[:, 2 * d:2 * d + t].T], axis=2
-    )
-    db = dy.sum(axis=1)
-    return dx, dw, db
+    """Gradients of dilated_conv1d w.r.t. (input, weights, bias)."""
+    o, c, _ = w.shape
+    dw = (dy @ _taps_1d(x, int(dilation)).T).reshape(o, 3, c).transpose(0, 2, 1)
+    # dx: the same conv of dy with the tap-reversed, transposed kernels
+    w_t = w.transpose(1, 0, 2)[:, :, ::-1]
+    return dilated_conv1d(dy, w_t, np.zeros(c, dtype=dy.dtype), dilation), dw, dy.sum(axis=1)
 
 
 def conv1x1(x, w, b):

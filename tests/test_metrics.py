@@ -279,6 +279,55 @@ class TestCsvInterchange:
                 else:
                     assert np.allclose(back[t][c], v, atol=1e-9)
 
+    @staticmethod
+    def per_row_reader(path):
+        """Reference reader: one np.linalg.norm per row, in file order."""
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        n_frames = 1 + int(rows[:, 0].max(initial=-1))
+        ann = [dict() for _ in range(n_frames)]
+        for t, c, *xyz in rows:
+            v = np.array(xyz)
+            norm = np.linalg.norm(v)
+            ann[int(t)][int(c)] = v / norm if norm > 0.0 else None
+        return ann, n_frames
+
+    def test_vectorized_norm_matches_per_row(self, tmp_path):
+        # the one vectorized norm may differ from the per-row norm in the
+        # last bit; the stated tolerance is DE within 1e-12 degrees
+        rng = np.random.default_rng(45)
+        for case in range(5):
+            pred, ref, _, _ = random_metric_case(rng, max_segments=200)
+            n = len(pred)
+            lines = ["frame_index,class_id,x,y,z"]
+            for t, frame in enumerate(pred):
+                for c in frame:
+                    v = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3)
+                    if rng.random() < 0.05:
+                        v[:] = 0.0
+                    lines.append(f"{t},{c}," + ",".join(repr(float(a)) for a in v))
+            lines.append(f"{n - 1},0,3.0,-4.0,12.0")  # a repeated key: the last row wins
+            path = tmp_path / f"pred{case}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            got, n_got = metrics.read_prediction_csv(path)
+            want, n_want = self.per_row_reader(path)
+            assert n_got == n_want == n
+            for g, w in zip(got, want):
+                assert g.keys() == w.keys()
+                for c in g:
+                    assert (g[c] is None) == (w[c] is None)
+                    if g[c] is not None:
+                        assert np.max(np.abs(g[c] - w[c])) < 1e-15
+            de_got, de_want = metrics.doa_error(got, ref), metrics.doa_error(want, ref)
+            assert (de_got is None) == (de_want is None)
+            if de_got is not None:
+                assert abs(de_got - de_want) < 1e-12
+
+    def test_first_bad_direction_is_named(self, tmp_path):
+        path = tmp_path / "two_bad.csv"
+        path.write_text("frame_index,class_id,x,y,z\n0,0,1,0,0\n3,1,nan,0,0\n2,2,inf,0,0\n")
+        with pytest.raises(DataError, match="frame 3, class 1 "):
+            metrics.read_prediction_csv(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,0,1,0,0\n")

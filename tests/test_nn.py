@@ -24,6 +24,33 @@ def ref_dilated_conv1d(x, w, b, d):
     return y
 
 
+def ref_dilated_conv1d_three_gemm(x, w, b, d):
+    """The dilated conv as one gemm per tap over a padded input."""
+    c, t = x.shape
+    xp = np.zeros((c, t + 2 * d), dtype=x.dtype)
+    xp[:, d:d + t] = x
+    w_m1, w_0, w_p1 = (np.ascontiguousarray(w[:, :, k]) for k in range(3))
+    y = w_0 @ x
+    y += w_m1 @ xp[:, 0:t]
+    y += w_p1 @ xp[:, 2 * d:2 * d + t]
+    return y + b[:, None]
+
+
+def ref_dilated_conv1d_backward_three_gemm(dy, x, w, d):
+    """Its backward: a padded dy and two per-tap gemms for each of dx and dw."""
+    c, t = x.shape
+    xp = np.zeros((c, t + 2 * d), dtype=x.dtype)
+    xp[:, d:d + t] = x
+    dyp = np.zeros((w.shape[0], t + 2 * d), dtype=dy.dtype)
+    dyp[:, d:d + t] = dy
+    w_m1, w_0, w_p1 = (np.ascontiguousarray(w[:, :, k].T) for k in range(3))
+    dx = w_0 @ dy
+    dx += w_m1 @ dyp[:, 2 * d:2 * d + t]
+    dx += w_p1 @ dyp[:, 0:t]
+    dw = np.stack([dy @ xp[:, 0:t].T, dy @ x.T, dy @ xp[:, 2 * d:2 * d + t].T], axis=2)
+    return dx, dw, dy.sum(axis=1)
+
+
 def ref_maxpool_freq(x, width):
     """Reduction oracle for the frequency max pool."""
     c, t, f = x.shape
@@ -261,6 +288,28 @@ class TestBatchnorm:
         with pytest.raises(StateError):
             nn.batchnorm(np.zeros((2, 5), np.float32), state, mode="infer")
 
+    def test_infer_is_the_running_affine(self):
+        rng = np.random.default_rng(44)
+        for dtype in (np.float32, np.float64):
+            state = nn.BatchNormState.create(3, dtype=dtype)
+            state.gamma[:] = rng.uniform(0.5, 1.5, 3)
+            state.beta[:] = rng.standard_normal(3)
+            state.running_mean[:] = rng.standard_normal(3)
+            state.running_var[:] = rng.uniform(0.1, 2.0, 3)
+            state.num_updates = 1
+            x = rng.standard_normal((3, 4, 5)).astype(dtype)
+            scale = state.gamma / np.sqrt(state.running_var + nn.BN_EPS)
+            shift = state.beta - state.running_mean * scale
+            got_scale, got_shift = nn.batchnorm_affine(state, dtype)
+            assert got_scale.tobytes() == scale.tobytes()
+            assert got_shift.tobytes() == shift.tobytes()
+            y = nn.batchnorm(x, state, mode="infer")
+            assert y.tobytes() == (x * scale[:, None, None] + shift[:, None, None]).tobytes()
+
+    def test_affine_before_update_rejected(self):
+        with pytest.raises(StateError):
+            nn.batchnorm_affine(nn.BatchNormState.create(2), np.float32)
+
     def test_running_stats_converge(self):
         rng = np.random.default_rng(5)
         state = nn.BatchNormState.create(1, dtype=np.float64)
@@ -346,6 +395,48 @@ class TestDilatedConv1d:
             y1 = nn.dilated_conv1d(x2, w, b, d)
             changed = np.where(np.any(y0 != y1, axis=0))[0]
             assert changed.min() >= t0 - d and changed.max() <= t0 + d
+
+    # the paper's dilations 1..512, odd ones, d >= T, T = 1 and C_in != C_out
+    @pytest.mark.parametrize("c_in,c_out,t", [(5, 3, 1), (3, 5, 7), (16, 16, 100),
+                                              (8, 12, 600)])
+    def test_matches_three_gemm_reference(self, c_in, c_out, t):
+        rng = np.random.default_rng(c_in * t)
+        for d in (1, 2, 3, 4, 8, 16, 32, 64, 99, 128, 256, 512, t - 1, t, t + 1, 2 * t):
+            if d < 1:
+                continue
+            x = rng.standard_normal((c_in, t))
+            w = rng.standard_normal((c_out, c_in, 3))
+            b = rng.standard_normal(c_out)
+            dy = rng.standard_normal((c_out, t))
+            y = nn.dilated_conv1d(x, w, b, d)
+            assert np.max(np.abs(y - ref_dilated_conv1d_three_gemm(x, w, b, d))) < 1e-12
+            got = nn.dilated_conv1d_backward(dy, x, w, d)
+            want = ref_dilated_conv1d_backward_three_gemm(dy, x, w, d)
+            for g, r in zip(got, want):
+                assert g.shape == r.shape and g.dtype == r.dtype
+                assert np.max(np.abs(g - r)) < 1e-12
+
+    def test_taps_are_shifted_copies(self):
+        x = np.arange(1.0, 9.0).reshape(2, 4)
+        taps = nn._taps_1d(x, 1).reshape(3, 2, 4)
+        assert np.array_equal(taps[0], [[0, 1, 2, 3], [0, 5, 6, 7]])
+        assert np.array_equal(taps[1], x)
+        assert np.array_equal(taps[2], [[2, 3, 4, 0], [6, 7, 8, 0]])
+        for d in (4, 5):
+            far = nn._taps_1d(x, d).reshape(3, 2, 4)
+            assert not far[0].any() and not far[2].any()
+
+    def test_seldtcn_predictions_match_three_gemm(self, monkeypatch):
+        cfg = models.ModelConfig(n_sed=11)
+        model = models.build_model(cfg, "seldtcn", seed=7)
+        x = np.random.default_rng(7).standard_normal((8, 512, 256)).astype(np.float32)
+        model.forward(x, dropout_rng=np.random.default_rng(7))  # prime BN stats
+        model.mode = "infer"
+        new = model.forward(x)
+        monkeypatch.setattr(nn, "dilated_conv1d", ref_dilated_conv1d_three_gemm)
+        old = model.forward(x)
+        assert np.max(np.abs(new.sed - old.sed)) < 1e-5
+        assert np.max(np.abs(new.doa - old.doa)) < 1e-5
 
     def test_gradcheck(self):
         rng = np.random.default_rng(10)
