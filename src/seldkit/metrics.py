@@ -21,12 +21,14 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DataError, FormatError, InputError, NumericError
 
 CSV_HEADER = ["frame_index", "class_id", "x", "y", "z"]
-# The reader allocates one entry per frame up to the largest frame index, and
-# evaluation a (frames, classes) activity matrix, so both indices are bounded
-# before anything is allocated. 2**23 frames is about 37 h at 62.5 frames/s
-# (16 kHz, hop 256); SELD class sets have tens of classes.
+# The reader allocates one entry per frame up to the largest frame index, so
+# it bounds both indices while parsing. 2**23 frames is about 37 h at 62.5
+# frames/s (16 kHz, hop 256); SELD class sets have tens of classes.
 MAX_FRAMES = 2 ** 23
 MAX_CLASSES = 1024
+# Evaluation's (frames, classes) activity matrices, 256 MiB of bool each; the
+# two index limits above would allow 2**33 cells.
+_MAX_ACTIVITY_CELLS = 2 ** 28
 
 
 def binarize_sed(sed, threshold=0.5):
@@ -104,12 +106,6 @@ def segment_counts(pred_activity, ref_activity, frames_per_segment) -> SedCounts
     return counts
 
 
-def segment_er_f1(pred_activity, ref_activity, frames_per_segment):
-    """Segment error rate and F1 as a pair (either may be None, see SedCounts)."""
-    counts = segment_counts(pred_activity, ref_activity, frames_per_segment)
-    return counts.er, counts.f1
-
-
 # ---------------------------------------------------------------------------
 # Frame recall and DOA error
 # ---------------------------------------------------------------------------
@@ -175,31 +171,46 @@ def doa_error(pred_ann, ref_ann):
     return total / pairs
 
 
+def _annotations_from_rows(n_frames, frames, classes, v):
+    """Frame annotations from (frame, class, xyz) rows; v is float64 (N, 3).
+
+    Each xyz is scaled to unit length in place, or becomes None where its
+    norm is not positive (zero or NaN); a later row for the same (frame,
+    class) replaces an earlier one.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v, axis=1)
+    positive = norm > 0.0
+    np.divide(v, norm[:, None], out=v, where=positive[:, None])
+    ann = [dict() for _ in range(n_frames)]
+    for t, c, u, ok in zip(frames, classes, v, positive.tolist()):
+        ann[t][c] = u if ok else None
+    return ann
+
+
 def doa_vectors_from_prediction(sed_activity, doa):
     """Frame annotations from an activity mask and raw (T, 3N) DOA output.
 
     Each active (frame, class) contributes its (x, y, z) triple normalized
-    to unit length; zero-norm vectors are kept as None so they still count
-    toward frame cardinality but are excluded from angle matching.
+    to unit length; vectors whose norm is not positive (zero or NaN) are kept
+    as None so they still count toward frame cardinality but are excluded
+    from angle matching.
     """
     activity = np.asarray(sed_activity, dtype=bool)
     doa = np.asarray(doa, dtype=np.float64)
     t_len, n_classes = activity.shape
     if doa.shape != (t_len, 3 * n_classes):
         raise InputError(f"doa shape {doa.shape} does not match activity {activity.shape}")
-    ann = []
-    for t in range(t_len):
-        frame = {}
-        for c in np.nonzero(activity[t])[0]:
-            v = doa[t, 3 * c:3 * c + 3]
-            norm = np.linalg.norm(v)
-            frame[int(c)] = v / norm if norm > 0.0 else None
-        ann.append(frame)
-    return ann
+    t, c = np.nonzero(activity)
+    v = doa.reshape(t_len, n_classes, 3)[t, c]
+    return _annotations_from_rows(t_len, t.tolist(), c.tolist(), v)
 
 
 def annotation_activity(ann, n_classes):
-    """Boolean (T, n_classes) activity implied by frame annotations."""
+    """Boolean (T, n_classes) activity implied by frame annotations (at most 2**28 cells)."""
+    if len(ann) * n_classes > _MAX_ACTIVITY_CELLS:
+        raise DataError(f"{len(ann)} frames x {n_classes} classes exceeds the limit of "
+                        f"{_MAX_ACTIVITY_CELLS} activity cells")
     act = np.zeros((len(ann), n_classes), dtype=bool)
     for t, frame in enumerate(ann):
         for c in frame:
@@ -292,15 +303,10 @@ def read_prediction_csv(path):
 
     v = np.fromiter((f for r in rows for f in r[2:]), np.float64, 3 * len(rows)).reshape(-1, 3)
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v, axis=1)
-    bad = np.flatnonzero(~np.isfinite(norm))
+        bad = np.flatnonzero(~np.isfinite(np.linalg.norm(v, axis=1)))
     if bad.size:
         t, c = rows[bad[0]][:2]
         raise DataError(f"{path}: direction of frame {t}, class {c} has no finite length")
-    positive = norm > 0.0
-    np.divide(v, norm[:, None], out=v, where=positive[:, None])
     n_frames = 1 + max((r[0] for r in rows), default=-1)
-    ann = [dict() for _ in range(n_frames)]
-    for (t, c, *_), u, ok in zip(rows, v, positive.tolist()):
-        ann[t][c] = u if ok else None
-    return ann, n_frames
+    frames, classes = (r[0] for r in rows), (r[1] for r in rows)
+    return _annotations_from_rows(n_frames, frames, classes, v), n_frames

@@ -355,10 +355,6 @@ class SeldModel:
     def num_params(self):
         return sum(p.size for p in self.params.values())
 
-    def reseed(self, seed):
-        """Reset the dropout RNG (training determinism hook)."""
-        self._rng = np.random.default_rng(seed)
-
     def set_feature_stats(self, mean, std):
         self.feature_mean = np.asarray(mean, dtype=self.dtype)
         self.feature_std = np.asarray(std, dtype=self.dtype)
@@ -383,7 +379,7 @@ class SeldModel:
 
     def _front_forward(self, x, cache):
         P = self.params
-        if cache is None and self.mode == "infer":
+        if self.mode == "infer":
             # fused fast path: BN constants fold into the conv, and the
             # conv/ReLU/pool run tile-wise without the full activation
             for i, width in enumerate(self.cfg.pool_schedule):
@@ -521,7 +517,7 @@ class SeldModel:
             d_g = nn.spatial_dropout_backward(d_dropped, mask)
             d_bn = nn.gated_activation_backward(d_g, bn_out)
             d_z, grads[f"block{k}.bn.gamma"], grads[f"block{k}.bn.beta"] = \
-                nn.batchnorm_backward(d_bn, z, self.bn_states[f"block{k}.bn"], stats=stats)
+                nn.batchnorm_backward(d_bn, z, self.bn_states[f"block{k}.bn"], stats)
             d_x, grads[f"block{k}.conv.w"], grads[f"block{k}.conv.b"] = \
                 nn.dilated_conv1d_backward(d_z, x_in, P[f"block{k}.conv.w"],
                                            self.cfg.dilations[k])
@@ -539,9 +535,9 @@ class SeldModel:
             d_p = nn.relu_backward(d_x3, p)
             d_n = nn.maxpool_freq_backward(d_p, n_out, self.cfg.pool_schedule[i])
             d_a, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = \
-                nn.batchnorm_backward(d_n, a, self.bn_states[f"bn{i}"], stats=stats)
+                nn.batchnorm_backward(d_n, a, self.bn_states[f"bn{i}"], stats)
             d_x3, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = \
-                nn.conv2d_backward(d_a, None, P[f"conv{i}.w"], need_dx=(i > 0), cols=cols)
+                nn.conv2d_backward(d_a, cols, P[f"conv{i}.w"], need_dx=(i > 0))
         return grads
 
     # -- persistence ----------------------------------------------------------
@@ -771,7 +767,7 @@ def train(model: SeldModel, dataset: SequenceDataset, epochs=500, batch_size=16,
 
     mean, std = feature_stats(dataset.train)
     model.set_feature_stats(mean, std)
-    model.reseed(seed)
+    dropout_rng = np.random.default_rng(seed)
     shuffle_rng = np.random.default_rng(seed)
     adam = nn.AdamState.create(model.params)
 
@@ -788,7 +784,7 @@ def train(model: SeldModel, dataset: SequenceDataset, epochs=500, batch_size=16,
             grads_acc = None
             batch_loss = 0.0
             for seq in batch:
-                value, grads = loss_and_grads(model, seq.features, seq.sed, seq.doa)
+                value, grads = loss_and_grads(model, seq.features, seq.sed, seq.doa, dropout_rng)
                 batch_loss += value
                 if grads_acc is None:
                     grads_acc = grads

@@ -2,9 +2,10 @@
 
 Everything operates on plain numpy arrays. Convolutions run channel-first
 ((C, T, F) for 2-D, (C, T) for 1-D), dense layers frame-first (T, features).
-Backward functions take the upstream gradient plus whatever the forward saw
-and return gradients in the same order as the inputs. Compute dtype follows
-the input dtype: float32 in training/inference, float64 for gradient checks.
+Backward functions take the upstream gradient plus what the forward saw or
+saved (conv2d's patch matrix, batchnorm's batch statistics) and return
+gradients in the same order as the inputs. Compute dtype follows the input
+dtype: float32 in training/inference, float64 for gradient checks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .errors import InputError, NumericError, ShapeError, StateError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+ADAM_LR = 0.001
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def relu(x):
@@ -60,8 +65,8 @@ def _im2col_3x3(x):
 def conv2d(x, w, b, cols_out=None):
     """3x3 'same' convolution: (C_in, T, F) -> (C_out, T, F).
 
-    Passing a list as cols_out stashes the patch matrix there so a later
-    conv2d_backward can reuse it instead of rebuilding it.
+    Passing a list as cols_out stashes the (C_in*9, T*F) patch matrix there;
+    conv2d_backward reads the weight gradient from it.
     """
     if x.ndim != 3 or w.ndim != 4 or w.shape[1:] != (x.shape[0], 3, 3):
         raise ShapeError(f"conv2d: input {x.shape} incompatible with weights {w.shape}")
@@ -77,17 +82,15 @@ def conv2d(x, w, b, cols_out=None):
     return y.reshape(c_out, t, f)
 
 
-def conv2d_backward(dy, x, w, need_dx=True, cols=None):
+def conv2d_backward(dy, cols, w, need_dx=True):
     """Gradients of conv2d w.r.t. (input, weights, bias).
 
-    Pass need_dx=False at the first layer to skip the most expensive gemm
-    (dx comes back as None), and the forward pass's patch matrix as `cols`
-    to avoid rebuilding it (x is then not read).
+    `cols` is the patch matrix the forward pass stashed in cols_out. Pass
+    need_dx=False at the first layer to skip the most expensive gemm (dx
+    comes back as None).
     """
     c_out = w.shape[0]
     dy2 = dy.reshape(c_out, -1)
-    if cols is None:
-        cols = _im2col_3x3(x)
     dw = (dy2 @ cols.T).reshape(w.shape)
     db = dy2.sum(axis=1)
     dx = None
@@ -216,7 +219,7 @@ def batchnorm(x, state: BatchNormState, mode: str, stats_out=None):
     Train mode uses the statistics of `x` and folds them into the running
     estimates with momentum BN_MOMENTUM; infer mode uses the running
     estimates (see batchnorm_affine). Passing a list as stats_out stashes
-    the train-mode (mean, var) there for backward reuse.
+    the train-mode (mean, var) there; batchnorm_backward reads them.
     """
     shape = (-1,) + (1,) * (x.ndim - 1)
     if mode == "train":
@@ -237,20 +240,16 @@ def batchnorm(x, state: BatchNormState, mode: str, stats_out=None):
     return x * scale.reshape(shape) + shift.reshape(shape)
 
 
-def batchnorm_backward(dy, x, state: BatchNormState, stats=None):
+def batchnorm_backward(dy, x, state: BatchNormState, stats):
     """Train-mode gradients w.r.t. (input, gamma, beta).
 
-    `stats` may carry the (mean, var) the forward pass computed; they are
-    recomputed from x otherwise.
+    `x` is the forward input and `stats` the (mean, var) the forward pass
+    stashed in stats_out.
     """
     axes = tuple(range(1, x.ndim))
     shape = (-1,) + (1,) * (x.ndim - 1)
     n = x.size // x.shape[0]
-    if stats is not None:
-        mean, var = (s.reshape(shape) for s in stats)
-    else:
-        mean = x.mean(axis=axes).reshape(shape)
-        var = x.var(axis=axes).reshape(shape)
+    mean, var = (s.reshape(shape) for s in stats)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mean) * inv_std
 
@@ -428,17 +427,11 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def create(cls, params, **hyper):
-        state = cls(**hyper)
-        state.m = {k: np.zeros_like(p) for k, p in params.items()}
-        state.v = {k: np.zeros_like(p) for k, p in params.items()}
-        return state
+    def create(cls, params):
+        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
+                   v={k: np.zeros_like(p) for k, p in params.items()})
 
 
 def adam_step(params, grads, state: AdamState):
@@ -450,16 +443,16 @@ def adam_step(params, grads, state: AdamState):
             raise ShapeError(f"adam_step: gradient shape mismatch for {name!r}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, g in grads.items():
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        params[name] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        params[name] -= ADAM_LR * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,12 @@ def encode_foa(mono, azimuth_deg, elevation_deg):
     """Encode a mono source into 4-channel FOA (W, X, Y, Z order).
 
     W carries the source unscaled; X/Y/Z carry the SN3D-style dipole gains
-    cos(az)cos(el), sin(az)cos(el), sin(el).
+    cos(az)cos(el), sin(az)cos(el), sin(el), the direction's unit_vector.
     """
     if not (np.isfinite(azimuth_deg) and np.isfinite(elevation_deg)):
         raise InputError("angles must be finite")
     mono = np.asarray(mono, dtype=np.float64)
-    az = np.radians(azimuth_deg)
-    el = np.radians(elevation_deg)
-    gains = np.array([1.0, np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), np.sin(el)])
+    gains = np.concatenate(([1.0], unit_vector(azimuth_deg, elevation_deg)))
     return gains[:, None] * mono[None, :]
 
 

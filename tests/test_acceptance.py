@@ -43,7 +43,9 @@ class TestCriterion1Gradients:
             w = rng.standard_normal((2, 3, 3, 3)) * 0.5
             b = rng.standard_normal(2)
             r = rng.standard_normal((2, 5, 4))
-            dx, dw, db = nn.conv2d_backward(r, x, w)
+            cols = []
+            nn.conv2d(x, w, b, cols_out=cols)
+            dx, dw, db = nn.conv2d_backward(r, cols[0], w)
             worst = max(worst, _check(
                 lambda: float(np.sum(nn.conv2d(x, w, b) * r)),
                 {"x": x, "w": w, "b": b}, {"x": dx, "w": dw, "b": db}))
@@ -75,7 +77,9 @@ class TestCriterion1Gradients:
             state.gamma[:] = rng.uniform(0.5, 1.5, 3)
             state.beta[:] = rng.standard_normal(3)
             r = rng.standard_normal(x.shape)
-            dx, dgamma, dbeta = nn.batchnorm_backward(r, x, state)
+            stats = []
+            nn.batchnorm(x, state, "train", stats_out=stats)
+            dx, dgamma, dbeta = nn.batchnorm_backward(r, x, state, stats[0])
             worst = max(worst, _check(
                 lambda: float(np.sum(nn.batchnorm(x, state, "train") * r)),
                 {"x": x, "gamma": state.gamma, "beta": state.beta},
@@ -141,7 +145,8 @@ class TestCriterion1Gradients:
                 return float(np.sum(residual * r_res) + np.sum(skip * r_skip))
 
             z = nn.dilated_conv1d(x, w_d, b_d, d)
-            bn = nn.batchnorm(z, state, "train")
+            stats = []
+            bn = nn.batchnorm(z, state, "train", stats_out=stats)
             g = nn.gated_activation(bn)
             dropped, mask = nn.spatial_dropout(g, 0.5, "train",
                                                np.random.default_rng(mask_rng))
@@ -149,7 +154,7 @@ class TestCriterion1Gradients:
             d_dropped, dw_s, db_s = nn.conv1x1_backward(d_s, dropped, w_s)
             d_g = nn.spatial_dropout_backward(d_dropped, mask)
             d_bn = nn.gated_activation_backward(d_g, bn)
-            d_z, dgamma, dbeta = nn.batchnorm_backward(d_bn, z, state)
+            d_z, dgamma, dbeta = nn.batchnorm_backward(d_bn, z, state, stats[0])
             d_x, dw_d, db_d = nn.dilated_conv1d_backward(d_z, x, w_d, d)
             d_x = d_x + r_res
 

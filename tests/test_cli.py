@@ -192,6 +192,14 @@ class TestEvalCommand:
                      "--sr", 100, "--hop", 100)
         assert rc == 1
 
+    def test_oversized_activity_exits_one(self, tmp_path, capsys):
+        # both indices pass the reader's limits, but frames x classes does not
+        path = tmp_path / "p.csv"
+        path.write_text(f"frame_index,class_id,x,y,z\n{2 ** 20},1023,1,0,0\n")
+        rc = run_cli("eval", "--pred", path, "--ref", path, "--sr", 100, "--hop", 100)
+        assert rc == 1
+        assert "activity cells" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_repeats_below_three_is_usage_error(self):

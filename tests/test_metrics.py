@@ -33,8 +33,8 @@ class TestSegmentErF1:
     def test_perfect_prediction(self):
         act = np.zeros((8, 3), bool)
         act[1, 0] = act[5, 2] = True
-        er, f1 = metrics.segment_er_f1(act, act, 4)
-        assert er == 0.0 and f1 == 1.0
+        counts = metrics.segment_counts(act, act, 4)
+        assert counts.er == 0.0 and counts.f1 == 1.0
 
     def test_substitution_example(self):
         # one segment; ref {A,B}, pred {A,C} -> S=1, ER=0.5, F1=0.5
@@ -59,9 +59,9 @@ class TestSegmentErF1:
     def test_zero_reference_gives_absent_er(self):
         pred = np.zeros((4, 2), bool)
         pred[0, 0] = True
-        er, f1 = metrics.segment_er_f1(pred, np.zeros((4, 2), bool), 4)
-        assert er is None
-        assert f1 == 0.0
+        counts = metrics.segment_counts(pred, np.zeros((4, 2), bool), 4)
+        assert counts.er is None
+        assert counts.f1 == 0.0
 
     def test_partial_trailing_segment_counts(self):
         ref = np.zeros((6, 1), bool)
@@ -77,7 +77,7 @@ class TestSegmentErF1:
             if not ref.any():
                 continue
             pred = ref.copy()
-            assert metrics.segment_er_f1(pred, ref, 4)[0] == 0.0
+            assert metrics.segment_counts(pred, ref, 4).er == 0.0
             # flip a bit in an empty (segment, class) cell -> ER > 0
             seg_ref = ref.reshape(3, 4, 3).any(axis=1)
             empty = np.argwhere(~seg_ref)
@@ -85,7 +85,7 @@ class TestSegmentErF1:
                 continue
             s, c = empty[rng.integers(len(empty))]
             pred[s * 4 + rng.integers(4), c] = True
-            assert metrics.segment_er_f1(pred, ref, 4)[0] > 0.0
+            assert metrics.segment_counts(pred, ref, 4).er > 0.0
 
     def test_single_corruption_moves_both_metrics(self):
         rng = np.random.default_rng(1)
@@ -217,6 +217,93 @@ class TestDoaVectorsFromPrediction:
         doa = np.zeros((1, 3))
         ann = metrics.doa_vectors_from_prediction(act, doa)
         assert ann[0][0] is None
+
+    @staticmethod
+    def per_row_builder(sed_activity, doa):
+        """Reference builder: one np.linalg.norm per active (frame, class)."""
+        activity = np.asarray(sed_activity, dtype=bool)
+        doa = np.asarray(doa, dtype=np.float64)
+        ann = []
+        for t in range(activity.shape[0]):
+            frame = {}
+            for c in np.nonzero(activity[t])[0]:
+                v = doa[t, 3 * c:3 * c + 3]
+                norm = np.linalg.norm(v)
+                frame[int(c)] = v / norm if norm > 0.0 else None
+            ann.append(frame)
+        return ann
+
+    @staticmethod
+    def model_style_case(rng, t_len, n_classes):
+        """float32 tanh DOA output with exact-zero components, zero vectors,
+        NaN components and frames without an active class."""
+        act = rng.random((t_len, n_classes)) < 0.6
+        act[::7] = False
+        doa = np.tanh(2.0 * rng.standard_normal((t_len, 3 * n_classes))).astype(np.float32)
+        doa[rng.random(doa.shape) < 0.1] = 0.0
+        doa.reshape(t_len, n_classes, 3)[rng.random((t_len, n_classes)) < 0.05] = 0.0
+        doa[rng.random(doa.shape) < 0.02] = np.nan
+        return act, doa
+
+    def test_vectorized_builder_matches_per_row(self):
+        # float32 squares are exact in float64, so the one vectorized norm
+        # equals the per-row norm bit for bit on model outputs
+        rng = np.random.default_rng(46)
+        n_none = 0
+        for t_len, n_classes in [(0, 3), (1, 1), (40, 11), (257, 4), (1874, 11)]:
+            act, doa = self.model_style_case(rng, t_len, n_classes)
+            got = metrics.doa_vectors_from_prediction(act, doa)
+            want = self.per_row_builder(act, doa)
+            assert len(got) == len(want) == t_len
+            for g, w in zip(got, want):
+                assert list(g) == list(w)
+                assert all(type(c) is int for c in g)
+                for c in g:
+                    assert (g[c] is None) == (w[c] is None)
+                    if g[c] is None:
+                        n_none += 1
+                    else:
+                        assert g[c].tobytes() == w[c].tobytes()
+        assert n_none > 0
+
+    def test_nan_and_zero_components(self):
+        act = np.ones((1, 4), bool)
+        doa = np.array([[np.nan, 0.0, 0.0, 0.0, 0.0, 0.0,
+                         0.0, -0.5, 0.0, 0.0, 0.0, np.nan]], np.float32)
+        ann = metrics.doa_vectors_from_prediction(act, doa)
+        assert ann[0][0] is None and ann[0][1] is None and ann[0][3] is None
+        assert ann[0][2].tobytes() == np.array([0.0, -1.0, 0.0]).tobytes()
+
+    def test_float64_input_within_one_ulp_of_per_row(self):
+        # float64 squares round, and the per-row dot may fuse the multiply
+        # and add, so float64 input is stated to agree within 1e-15
+        rng = np.random.default_rng(47)
+        act = rng.random((300, 5)) < 0.6
+        doa = rng.standard_normal((300, 15)) * 10.0 ** rng.uniform(-3, 3, (300, 15))
+        got = metrics.doa_vectors_from_prediction(act, doa)
+        want = self.per_row_builder(act, doa)
+        for g, w in zip(got, want):
+            assert list(g) == list(w)
+            for c in g:
+                assert np.max(np.abs(g[c] - w[c])) < 1e-15
+
+    def test_input_not_modified(self):
+        act = np.ones((2, 1), bool)
+        doa = np.array([[3.0, 0.0, 4.0], [0.0, 2.0, 0.0]])
+        before = doa.copy()
+        metrics.doa_vectors_from_prediction(act, doa)
+        assert np.array_equal(doa, before)
+
+
+class TestAnnotationActivity:
+    def test_too_many_cells_is_data_error(self):
+        # 2**20 + 1 frames x 1024 classes is 4x the cell limit; the check
+        # comes before the (frames, classes) allocation
+        ann = [dict() for _ in range(2 ** 20)] + [{1023: None}]
+        with pytest.raises(DataError, match="activity cells"):
+            metrics.annotation_activity(ann, 1024)
+        with pytest.raises(DataError, match="activity cells"):
+            metrics.evaluate_annotations(ann, ann, 1024, 50)
 
 
 class TestOracleDuels:

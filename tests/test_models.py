@@ -784,3 +784,78 @@ class TestBenchmarkTracerContract:
         assert {"conv2d", "batchnorm", "relu", "maxpool_freq"} <= names
         for name in names:
             assert callable(getattr(nn, name, None)), name
+
+    @staticmethod
+    def _sk_module(node):
+        """'models' for the expression `sk.models`, else None."""
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "sk"):
+            return node.attr
+        return None
+
+    @staticmethod
+    def _ref(node):
+        """'m' for the name m, 'self.cli' for self.cli, else None."""
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return f"{node.value.id}.{node.attr}"
+        return None
+
+    def test_workload_lookups_exist(self):
+        # the workloads and the runner are handed the modules as attributes
+        # of `sk` and reach names as sk.<module>.<name>, or through a name
+        # bound to sk.<module> (m = sk.models, self.cli = sk.cli)
+        from seldkit import cli, dsp, metrics
+        modules = {"cli": cli, "dsp": dsp, "metrics": metrics, "models": models,
+                   "nn": nn, "synth": synth}
+        root = Path(__file__).resolve().parents[1] / "perfbench"
+        lookups = set()
+        for name in ("workloads.py", "run.py"):
+            tree = ast.parse((root / name).read_text())
+            aliases = {self._ref(t): self._sk_module(node.value)
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Assign) and self._sk_module(node.value)
+                       for t in node.targets}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    module = self._sk_module(node.value) or aliases.get(self._ref(node.value))
+                    if module:
+                        lookups.add((module, node.attr))
+        assert {("models", "train"), ("models", "macs_conv2d"), ("cli", "main"),
+                ("dsp", "resample"), ("metrics", "doa_vectors_from_prediction")} <= lookups
+        for module, attr in sorted(lookups):
+            assert hasattr(modules[module], attr), f"{module}.{attr}"
+
+    def test_workload_command_lines_parse(self):
+        # evaluate each `self.argv = [...]` of perfbench/workloads.py with the
+        # module's and the class's literal constants, then parse it
+        from seldkit import cli
+        tree = ast.parse(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text())
+
+        def constants(body):
+            return {t.id: ast.literal_eval(node.value) for node in body
+                    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    for t in node.targets if isinstance(t, ast.Name)}
+
+        class Instance:  # class constants, and a path for anything prepare() sets
+            def __init__(self, attrs):
+                self.__dict__.update(attrs)
+
+            def __getattr__(self, name):
+                return Path(name)
+
+        commands = set()
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Assign)
+                        and [self._ref(t) for t in node.targets] == ["self.argv"]):
+                    argv = eval(compile(ast.Expression(node.value), "workloads.py", "eval"),
+                                {"str": str, **constants(tree.body)},
+                                {"self": Instance(constants(cls.body)), "d": Path("work"),
+                                 "seed": 42})
+                    args = cli.build_parser().parse_args(argv)
+                    assert args.command == argv[0]
+                    commands.add(args.command)
+        assert commands == {"infer", "eval"}

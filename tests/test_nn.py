@@ -121,7 +121,9 @@ class TestConv2d:
         def loss():
             return float(np.sum(nn.conv2d(x, w, b) * r))
 
-        dx, dw, db = nn.conv2d_backward(r, x, w)
+        cols = []
+        nn.conv2d(x, w, b, cols_out=cols)
+        dx, dw, db = nn.conv2d_backward(r, cols[0], w)
         rep = nn.grad_check(loss, {"x": x, "w": w, "b": b}, {"x": dx, "w": dw, "b": db})
         assert rep.max_rel_err < 1e-4, str(rep)
 
@@ -133,7 +135,9 @@ class TestConv2d:
             w = (rng.standard_normal((c_out, c_in, 3, 3)) * 0.1).astype(dtype)
             dy = rng.standard_normal((c_out, t, f)).astype(dtype)
             dy[:, ::2] = 0.0  # the zero rows a pool scatter leaves
-            dx, _, _ = nn.conv2d_backward(dy, x, w)
+            cols = []
+            nn.conv2d(x, w, np.zeros(c_out, dtype), cols_out=cols)
+            dx, _, _ = nn.conv2d_backward(dy, cols[0], w)
             assert dx.dtype == dtype
             assert dx.tobytes() == ref_conv2d_backward_dx(dy, w).tobytes()
 
@@ -332,7 +336,9 @@ class TestBatchnorm:
         def loss():
             return float(np.sum(nn.batchnorm(x, state, mode="train") * r))
 
-        dx, dgamma, dbeta = nn.batchnorm_backward(r, x, state)
+        stats = []
+        nn.batchnorm(x, state, mode="train", stats_out=stats)
+        dx, dgamma, dbeta = nn.batchnorm_backward(r, x, state, stats[0])
         rep = nn.grad_check(
             loss,
             {"x": x, "gamma": state.gamma, "beta": state.beta},
