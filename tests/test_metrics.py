@@ -1,5 +1,6 @@
 """Metric tests: worked examples, invariants, and brute-force oracle duels."""
 
+import csv
 import time
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from seldkit import metrics
 from seldkit.errors import DataError, FormatError, InputError, NumericError, SeldError
@@ -100,6 +102,28 @@ class TestSegmentErF1:
         corrupted = metrics.segment_counts(pred, ref, 4)
         assert corrupted.f1 < base.f1
         assert corrupted.er > base.er
+
+    @staticmethod
+    def per_segment_loop(pred, ref, frames_per_segment):
+        """Reference counter: one Python step per segment."""
+        counts = metrics.SedCounts()
+        for start in range(0, pred.shape[0], frames_per_segment):
+            p = pred[start:start + frames_per_segment].any(axis=0)
+            r = ref[start:start + frames_per_segment].any(axis=0)
+            fp, fn = int(np.sum(p & ~r)), int(np.sum(~p & r))
+            counts += metrics.SedCounts(int(np.sum(p & r)), fp, fn, min(fn, fp),
+                                        max(0, fn - fp), max(0, fp - fn), int(np.sum(r)))
+        return counts
+
+    def test_counts_equal_per_segment_loop(self):
+        rng = np.random.default_rng(18)
+        for t_len, n_classes, fps in [(0, 3, 4), (1, 1, 4), (7, 2, 10), (50, 11, 50),
+                                      (203, 11, 50), (64, 5, 1), (97, 4, 8)]:
+            pred = rng.random((t_len, n_classes)) < 0.2
+            ref = rng.random((t_len, n_classes)) < 0.2
+            got = metrics.segment_counts(pred, ref, fps)
+            assert got == self.per_segment_loop(pred, ref, fps)
+            assert all(type(x) is int for x in got._tuple())
 
     def test_accumulator_concatenation(self):
         rng = np.random.default_rng(2)
@@ -199,6 +223,132 @@ class TestDoaError:
             assert a == pytest.approx(b, abs=1e-9)
 
 
+def cross_formula_deg(u, v):
+    """Reference angle: atan2 of the np.cross norm over the dot product."""
+    u, v = np.asarray(u), np.asarray(v)
+    cross = np.linalg.norm(np.cross(u, v), axis=-1)
+    return np.degrees(np.arctan2(cross, np.sum(u * v, axis=-1)))
+
+
+def per_frame_doa(pred_ann, ref_ann):
+    """Reference matcher: one angle matrix and one assignment per frame."""
+    total, pairs = 0.0, 0
+    for p, r in zip(pred_ann, ref_ann):
+        pv = [v for v in p.values() if v is not None]
+        rv = [v for v in r.values() if v is not None]
+        if not pv or not rv:
+            continue
+        angles = cross_formula_deg(np.array(pv)[:, None], np.array(rv)[None])
+        rows, cols = linear_sum_assignment(angles)
+        total += angles[rows, cols].sum()
+        pairs += len(rows)
+    return total, pairs
+
+
+def unit_rows(rng, n):
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def shaped_frames(rng, shapes, p_none=0.1):
+    """(pred, ref) annotations with the given (|P|, |R|) per frame; each
+    vector is None with probability p_none, on top of the stated counts."""
+    pred, ref = [], []
+    for n_p, n_r in shapes:
+        for ann, n in ((pred, n_p), (ref, n_r)):
+            frame = {}
+            for c, v in enumerate(unit_rows(rng, n)):
+                frame[c] = v
+                if rng.random() < p_none:
+                    frame[c + 20] = None
+            ann.append(frame)
+    return pred, ref
+
+
+class TestGroupedDoaMatching:
+    def test_matches_per_frame_reference(self):
+        rng = np.random.default_rng(11)
+        cases = [random_metric_case(rng) for _ in range(40)]
+        cases.append(random_metric_case(np.random.default_rng(8), max_classes=7,
+                                        max_segments=5, max_sources=7))
+        cases = [(p, r) for p, r, _, _ in cases]
+        # every shape up to 7x7, including empty, 1xk and kx1 frames
+        shapes = [(a, b) for a in range(8) for b in range(8)] * 3
+        cases.append(shaped_frames(rng, [shapes[i] for i in rng.permutation(len(shapes))]))
+        # more than two blocks, with a shape mix like a dense evaluation
+        n = 2 * metrics._DOA_BLOCK + 37
+        cases.append(shaped_frames(rng, zip(rng.integers(0, 7, n), rng.integers(0, 4, n))))
+        for pred, ref in cases:
+            total, pairs = metrics.doa_error_accumulate(pred, ref)
+            want_total, want_pairs = per_frame_doa(pred, ref)
+            assert pairs == want_pairs
+            assert abs(total - want_total) <= 1e-9
+
+    def test_solver_only_for_two_by_two_or_larger(self, monkeypatch):
+        calls = []
+        def counting(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+        monkeypatch.setattr(metrics, "linear_sum_assignment", counting)
+        rng = np.random.default_rng(12)
+        n = metrics._DOA_BLOCK + 500
+        shapes = list(zip(rng.integers(0, 6, n), rng.integers(0, 6, n)))
+        pred, ref = shaped_frames(rng, shapes)
+        metrics.doa_error_accumulate(pred, ref)
+        want = sorted((int(a), int(b)) for a, b in shapes if min(a, b) >= 2)
+        assert sorted(calls) == want
+        calls.clear()
+        pred, ref = shaped_frames(rng, [(1, 5), (4, 1), (1, 1), (0, 3), (2, 0)] * 50)
+        metrics.doa_error_accumulate(pred, ref)
+        assert calls == []
+
+    @pytest.mark.parametrize("n_pred, n_ref", [(1, 3), (3, 1), (2, 2), (4, 3)])
+    def test_nan_vector_raises_numeric_error(self, n_pred, n_ref):
+        rng = np.random.default_rng(13)
+        pred, ref = shaped_frames(rng, [(2, 3), (n_pred, n_ref), (0, 2)], p_none=0.0)
+        pred[1][n_pred - 1] = np.array([0.0, np.nan, 1.0])
+        with pytest.raises(NumericError):
+            metrics.doa_error_accumulate(pred, ref)
+        ref[1][0] = np.array([np.nan, 0.0, 0.0])
+        pred[1][n_pred - 1] = unit_rows(rng, 1)[0]
+        with pytest.raises(NumericError):
+            metrics.doa_error_accumulate(pred, ref)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(InputError):
+            metrics.doa_error_accumulate([{}] * 3, [{}] * 2)
+
+    def test_angle_matches_cross_formula(self):
+        rng = np.random.default_rng(14)
+        u = unit_rows(rng, 500).reshape(50, 10, 1, 3)
+        v = unit_rows(rng, 400).reshape(50, 1, 8, 3)
+        v[0, 0, :4] = u[0, :4, 0]       # identical pairs
+        v[1, 0, :4] = -u[1, :4, 0]      # antipodal pairs
+        got = metrics.angular_distance_deg(u, v)
+        want = cross_formula_deg(u, v)
+        assert got.shape == want.shape == (50, 10, 8)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(got[0, np.arange(4), np.arange(4)] == 0.0)
+        assert metrics.angular_distance_deg(u[0, 0, 0], u[0, 0, 0]) == 0.0
+
+    def test_memory_stays_flat_over_dense_input(self):
+        # 20,000 frames of up to 6 predicted against up to 3 reference
+        # events; the frames are walked in blocks, so the transient peak
+        # does not grow with the input
+        rng = np.random.default_rng(15)
+        n = 20000
+        pred, ref = shaped_frames(rng, zip(rng.integers(0, 7, n), rng.integers(0, 4, n)),
+                                  p_none=0.05)
+        tracemalloc.start()
+        try:
+            metrics.doa_error_accumulate(pred, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"doa_error_accumulate peak over {n} frames: {peak / 2 ** 20:.2f} MiB")
+        assert peak < 1.25 * 2 ** 20  # about twice the measured 0.64 MiB
+
+
 class TestDoaVectorsFromPrediction:
     def test_normalizes(self):
         act = np.array([[True]])
@@ -296,6 +446,21 @@ class TestDoaVectorsFromPrediction:
 
 
 class TestAnnotationActivity:
+    def test_class_out_of_range_is_named(self):
+        ann = [{0: None}, {}, {2: None, 4: None, 7: None}]
+        with pytest.raises(DataError, match="class_id 4 out of range"):
+            metrics.annotation_activity(ann, 4)
+
+    def test_matches_per_frame_loop(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            ann, _, n_classes, _ = random_metric_case(rng, max_classes=11, max_sources=6)
+            want = np.zeros((len(ann), n_classes), bool)
+            for t, frame in enumerate(ann):
+                for c in frame:
+                    want[t, c] = True
+            assert np.array_equal(metrics.annotation_activity(ann, n_classes), want)
+
     def test_too_many_cells_is_data_error(self):
         # 2**20 + 1 frames x 1024 classes is 4x the cell limit; the check
         # comes before the (frames, classes) allocation
@@ -365,6 +530,32 @@ class TestCsvInterchange:
                     assert back[t][c] is None
                 else:
                     assert np.allclose(back[t][c], v, atol=1e-9)
+
+    @staticmethod
+    def csv_module_writer(path, ann):
+        """Reference writer: one csv.writer row per (frame, event)."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(metrics.CSV_HEADER)
+            for t, frame in enumerate(ann):
+                for c in sorted(frame):
+                    v = frame[c]
+                    x, y, z = (0.0, 0.0, 0.0) if v is None else (v[0], v[1], v[2])
+                    writer.writerow([t, c, f"{x:.10g}", f"{y:.10g}", f"{z:.10g}"])
+
+    def test_writer_bytes_match_csv_module(self, tmp_path):
+        rng = np.random.default_rng(17)
+        dense, _, _, _ = random_metric_case(rng, max_classes=11, max_sources=6)
+        f32 = [{c: None if v is None else v.astype(np.float32) for c, v in frame.items()}
+               for frame in dense]
+        odd = [{}, {3: np.array([-0.0, 0.0, -1.0]), 0: None}, {},
+               {1: np.array([1e-300, -2.5e-7, 123456789.123]), 2: np.array([0.1, 1 / 3, -0.0])},
+               {}]
+        for i, ann in enumerate([dense, f32, odd, [], [{}, {}]]):
+            got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+            metrics.write_prediction_csv(got, ann)
+            self.csv_module_writer(want, ann)
+            assert got.read_bytes() == want.read_bytes()
 
     @staticmethod
     def per_row_reader(path):
