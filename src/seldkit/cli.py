@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, metrics, models, synth
-from .errors import SeldError
+from .errors import InputError, SeldError
 
 FEATURE_CSV_HEADER = ["feature_channel", "frame", "bin", "value"]
 _FEATURE_CSV_BLOCK_ROWS = 65536
@@ -29,11 +29,6 @@ def _resolve_seed(seed):
         return seed
     env = os.environ.get("SELD_SEED")
     return int(env) if env else 0
-
-
-def _write_kv(path, pairs):
-    lines = [f"{key} = {value}" for key, value in pairs]
-    Path(path).write_text("".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +97,8 @@ def _fmt(value, suffix=""):
 
 
 def cmd_eval(args):
+    if args.sr < 1 or args.hop < 1:
+        raise InputError("--sr and --hop must be at least 1")
     pred_ann, n_pred = metrics.read_prediction_csv(args.pred)
     ref_ann, n_ref = metrics.read_prediction_csv(args.ref)
     n_frames = max(n_pred, n_ref)
@@ -123,7 +120,7 @@ def cmd_eval(args):
     print(f"doa error   (DE) : {_fmt(report.de, ' deg')}")
 
     if args.out:
-        _write_kv(args.out, [
+        models.write_kv(args.out, [
             ("er", "absent" if report.er is None else f"{report.er:.8f}"),
             ("f1", "absent" if report.f1 is None else f"{report.f1:.8f}"),
             ("fr", f"{report.fr:.8f}"),
@@ -216,7 +213,7 @@ def cmd_bench(args):
             ("p50_s", f"{report.p50_s:.6f}"),
         ]
         pairs += [(f"run{i}_s", f"{r:.6f}") for i, r in enumerate(report.runs_s)]
-        _write_kv(args.out, pairs)
+        models.write_kv(args.out, pairs)
         print(f"report: {args.out}")
     return 0
 
@@ -233,7 +230,8 @@ def _load_augmented(args):
         clip = dsp.resample(clip, args.sr)
     if args.snr is not None:
         spec = dsp.AugmentSpec(kind=args.noise_kind, snr_db=args.snr, rng_seed=seed)
-        noise = dsp.read_wav(args.noise_wav) if args.noise_kind == "noise_file" else None
+        noise = (dsp.read_wav(args.noise_wav)
+                 if args.noise_kind == "noise_file" and args.noise_wav is not None else None)
         clip = dsp.add_noise(clip, spec, noise=noise)
     if args.reverb is not None:
         spec = dsp.AugmentSpec(kind="reverb", reverb_strength=args.reverb, rng_seed=seed)
@@ -245,21 +243,17 @@ def cmd_featurize(args):
     clip = _load_augmented(args)
     feats = dsp.stft_features(clip)
     c, t, f = feats.values.shape
-    # Rows go out a block of frames at a time, so the float64 row table
-    # stays a fixed size however long the clip is.
+    # Rows are formatted and written a block of frames at a time, so the
+    # formatted text stays a fixed size however long the clip is.
     block = max(1, _FEATURE_CSV_BLOCK_ROWS // f)
     with open(args.out, "w", newline="") as fh:
         fh.write(",".join(FEATURE_CSV_HEADER) + "\n")
         for ch in range(c):
             for t0 in range(0, t, block):
-                values = feats.values[ch, t0:t0 + block]
-                rows = np.empty(values.shape + (4,))
-                rows[..., 0] = ch
-                rows[..., 1] = np.arange(t0, t0 + len(values))[:, None]
-                rows[..., 2] = np.arange(f)
-                rows[..., 3] = values
-                np.savetxt(fh, rows.reshape(-1, 4), fmt=("%d", "%d", "%d", "%.7g"),
-                           delimiter=",")
+                rows = feats.values[ch, t0:t0 + block].tolist()
+                fh.write("".join(
+                    "%d,%d,%d,%.7g\n" % (ch, frame, b, v)
+                    for frame, row in enumerate(rows, t0) for b, v in enumerate(row)))
     print(f"features: {c} channels x {t} frames x {f} bins -> {args.out}")
     return 0
 

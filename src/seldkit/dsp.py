@@ -167,14 +167,11 @@ def read_wav(path) -> AudioClip:
         samples[:] = np.frombuffer(payload, dtype="<i2").reshape(-1, n_channels).T
         samples /= 32768.0
     elif bits == 24:
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        ints = (
-            raw[:, 0].astype(np.int32)
-            | (raw[:, 1].astype(np.int32) << 8)
-            | (raw[:, 2].astype(np.int32) << 16)
-        )
-        ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
-        samples[:] = ints.reshape(-1, n_channels).T
+        # each 3-byte code fills the top of a little-endian int32, whose
+        # arithmetic shift back down sign-extends it
+        wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+        samples[:] = (wide.view("<i4") >> 8).reshape(-1, n_channels).T
         samples /= float(1 << 23)
     else:
         flat = np.frombuffer(payload, dtype="<f4")
@@ -194,12 +191,8 @@ def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
         audio_format, bits = 1, 16
     elif encoding == "pcm24":
         ints = np.clip(np.round(interleaved * (1 << 23)), -(1 << 23), (1 << 23) - 1)
-        ints = ints.astype(np.int64)
-        buf = np.empty((len(ints), 3), dtype=np.uint8)
-        buf[:, 0] = ints & 0xFF
-        buf[:, 1] = (ints >> 8) & 0xFF
-        buf[:, 2] = (ints >> 16) & 0xFF
-        payload = buf.tobytes()
+        # the low three bytes of each little-endian int32
+        payload = ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
         audio_format, bits = 1, 24
     elif encoding == "float32":
         payload = interleaved.astype("<f4").tobytes()

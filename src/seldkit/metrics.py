@@ -258,7 +258,7 @@ def annotation_activity(ann, n_classes):
     lengths = np.fromiter(map(len, ann), np.intp, len(ann))
     frames = np.repeat(np.arange(len(ann)), lengths)
     classes = np.fromiter(chain.from_iterable(ann), np.intp, len(frames))
-    out_of_range = np.flatnonzero(classes >= n_classes)
+    out_of_range = np.flatnonzero((classes < 0) | (classes >= n_classes))
     if out_of_range.size:
         raise DataError(f"class_id {classes[out_of_range[0]]} out of range (n_classes={n_classes})")
     act = np.zeros((len(ann), n_classes), dtype=bool)
@@ -319,6 +319,24 @@ def write_prediction_csv(path, ann):
         fh.write("\n".join(lines) + "\n")
 
 
+def _csv_rows(path, header):
+    """Non-blank rows of a UTF-8 CSV whose first row is `header` (cells stripped).
+
+    A wrong header, undecodable bytes and CSV syntax errors are a FormatError.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise FormatError(f"{path}: expected header {','.join(header)}")
+            for line in reader:
+                if line:
+                    yield line
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+
+
 def read_prediction_csv(path):
     """Read interchange CSV into frame annotations.
 
@@ -329,28 +347,18 @@ def read_prediction_csv(path):
     MAX_CLASSES and vectors without a finite length are a DataError.
     """
     rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != CSV_HEADER:
-                raise FormatError(f"{path}: expected header {','.join(CSV_HEADER)}")
-            for line in reader:
-                if not line:
-                    continue
-                try:
-                    t, c = int(line[0]), int(line[1])
-                    x, y, z = float(line[2]), float(line[3]), float(line[4])
-                except (ValueError, IndexError) as exc:
-                    raise FormatError(f"{path}: malformed row {line!r}") from exc
-                if t < 0 or c < 0:
-                    raise DataError(f"{path}: negative frame or class index")
-                if t >= MAX_FRAMES or c >= MAX_CLASSES:
-                    raise DataError(f"{path}: frame index {t} or class id {c} exceeds "
-                                    f"the limit of {MAX_FRAMES} frames, {MAX_CLASSES} classes")
-                rows.append((t, c, x, y, z))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    for line in _csv_rows(path, CSV_HEADER):
+        try:
+            t, c = int(line[0]), int(line[1])
+            x, y, z = float(line[2]), float(line[3]), float(line[4])
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"{path}: malformed row {line!r}") from exc
+        if t < 0 or c < 0:
+            raise DataError(f"{path}: negative frame or class index")
+        if t >= MAX_FRAMES or c >= MAX_CLASSES:
+            raise DataError(f"{path}: frame index {t} or class id {c} exceeds "
+                            f"the limit of {MAX_FRAMES} frames, {MAX_CLASSES} classes")
+        rows.append((t, c, x, y, z))
 
     v = np.fromiter((f for r in rows for f in r[2:]), np.float64, 3 * len(rows)).reshape(-1, 3)
     with np.errstate(over="ignore"):

@@ -138,18 +138,24 @@ def load_config(path):
     return ModelConfig(**cfg_kwargs), extras
 
 
+def write_kv(path, pairs):
+    """Write (key, value) pairs as a UTF-8 text file of `key = value` lines."""
+    Path(path).write_text("".join(f"{key} = {value}\n" for key, value in pairs), "utf-8")
+
+
 def save_config(path, cfg: ModelConfig, extras=None):
-    lines = []
+    """Write a config file that load_config reads back to (cfg, extras)."""
+    pairs = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "tuple":
             value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
+        pairs.append((f.name, value))
     for key, value in (extras or {}).items():
         if key not in EXTRA_CONFIG_KEYS:
             raise ConfigError(f"unknown extra config key {key!r}")
-        lines.append(f"{key} = {value}")
-    Path(path).write_text("".join(line + "\n" for line in lines))
+        pairs.append((key, value))
+    write_kv(path, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +548,17 @@ class SeldModel:
 
     # -- persistence ----------------------------------------------------------
 
+    def _stored_tensors(self):
+        """(name, array) per stored tensor in file order: parameters, then BN running stats."""
+        yield from self.params.items()
+        for name, state in self.bn_states.items():
+            yield f"{name}.running_mean", state.running_mean
+            yield f"{name}.running_var", state.running_var
+
     def to_store(self) -> WeightStore:
         store = WeightStore()
-        for name, p in self.params.items():
-            store.put(name, p)
-        for name, state in self.bn_states.items():
-            store.put(f"{name}.running_mean", state.running_mean)
-            store.put(f"{name}.running_var", state.running_var)
+        for name, array in self._stored_tensors():
+            store.put(name, array)
         updates = max(s.num_updates for s in self.bn_states.values())
         store.put("meta.bn_updates", np.array([float(updates)], dtype=np.float64))
         if self.feature_mean is not None:
@@ -557,10 +567,7 @@ class SeldModel:
         return store
 
     def load_store(self, store: WeightStore):
-        shapes = {name: p.shape for name, p in self.params.items()}
-        for name, state in self.bn_states.items():
-            shapes[f"{name}.running_mean"] = shapes[f"{name}.running_var"] = \
-                state.running_mean.shape
+        shapes = {name: array.shape for name, array in self._stored_tensors()}
         shapes["meta.bn_updates"] = (1,)
         optional = {"features.mean", "features.std"}
         present = set(store.names())
@@ -578,11 +585,9 @@ class SeldModel:
         updates = float(store.get("meta.bn_updates")[0])
         if not (math.isfinite(updates) and updates >= 0):
             raise FormatError(f"meta.bn_updates must be a finite count >= 0, got {updates}")
-        for name, p in self.params.items():
-            p[:] = store.get(name).astype(self.dtype)
-        for name, state in self.bn_states.items():
-            state.running_mean[:] = store.get(f"{name}.running_mean").astype(self.dtype)
-            state.running_var[:] = store.get(f"{name}.running_var").astype(self.dtype)
+        for name, array in self._stored_tensors():
+            array[:] = store.get(name).astype(self.dtype)
+        for state in self.bn_states.values():
             state.num_updates = int(updates)
         if "features.mean" in store:
             self.set_feature_stats(store.get("features.mean"), store.get("features.std"))
@@ -669,31 +674,20 @@ def load_sequence_dataset(dataset_dir, cfg: ModelConfig, sample_rate_hz) -> Sequ
     higher rate, featurized, and chopped into non-overlapping windows of
     cfg.seq_len frames (the trailing remainder is dropped).
     """
-    root = Path(dataset_dir)
-    splits = {}
-    for split in ("train", "val", "test"):
-        manifest = root / f"{split}.txt"
-        if not manifest.exists():
-            raise DataError(f"missing split manifest {manifest}")
-        sequences = []
-        for name in manifest.read_text().splitlines():
-            if not name:
-                continue
-            clip = dsp.read_wav(root / name)
-            if clip.sample_rate_hz != sample_rate_hz:
-                clip = dsp.resample(clip, sample_rate_hz)
-            feats = dsp.stft_features(clip)
-            events = synth.read_annotation_csv((root / name).with_suffix(".csv"))
-            sed, doa = synth.frame_targets(
-                events, feats.n_frames, dsp.HOP / sample_rate_hz, cfg.n_sed)
-            for j in range(feats.n_frames // cfg.seq_len):
-                lo, hi = j * cfg.seq_len, (j + 1) * cfg.seq_len
-                sequences.append(Sequence(
-                    features=feats.values[:, lo:hi],
-                    sed=sed[lo:hi],
-                    doa=doa[lo:hi],
-                ))
-        splits[split] = sequences
+    splits = {split: [] for split in synth.SPLITS}
+    for split, clip, events in synth.read_dataset(dataset_dir):
+        if clip.sample_rate_hz != sample_rate_hz:
+            clip = dsp.resample(clip, sample_rate_hz)
+        feats = dsp.stft_features(clip)
+        sed, doa = synth.frame_targets(
+            events, feats.n_frames, dsp.HOP / sample_rate_hz, cfg.n_sed)
+        for j in range(feats.n_frames // cfg.seq_len):
+            lo, hi = j * cfg.seq_len, (j + 1) * cfg.seq_len
+            splits[split].append(Sequence(
+                features=feats.values[:, lo:hi],
+                sed=sed[lo:hi],
+                doa=doa[lo:hi],
+            ))
     if not splits["train"] or not splits["val"]:
         raise DataError("train and validation splits must be non-empty")
     return SequenceDataset(**splits)

@@ -3,24 +3,25 @@
 Scenes place class-templated sources (tones by default) on a 10-degree
 angular grid, encode them to 4-channel FOA (W, X, Y, Z) and sum them.
 Datasets are written as WAV + annotation CSV pairs plus train/val/test
-split manifests.
+split manifests, and read back by read_dataset.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import AudioClip, write_wav
+from . import dsp
 from .errors import DataError, FormatError, InputError
+from .metrics import _csv_rows
 
 FADE_S = 0.010
 PEAK_NORM = 0.9
 ANNOTATION_HEADER = ["onset_s", "offset_s", "class_id", "azimuth_deg", "elevation_deg"]
 SOURCE_KINDS = ("tone", "noise_burst", "chirp")
+SPLITS = ("train", "val", "test")
 _TRAIN_FRACTION, _VAL_FRACTION = 0.6, 0.2  # the test split takes the rest
 
 
@@ -146,7 +147,7 @@ def synth_scene(spec: SceneSpec):
     peak = np.max(np.abs(mix))
     if peak > 0.0:
         mix *= PEAK_NORM / peak
-    clip = AudioClip(samples=mix.astype(np.float32), sample_rate_hz=spec.sample_rate_hz)
+    clip = dsp.AudioClip(samples=mix.astype(np.float32), sample_rate_hz=spec.sample_rate_hz)
     return clip, list(spec.events)
 
 
@@ -187,44 +188,31 @@ def _random_scene(rng, class_count, duration_s, sample_rate_hz, max_overlap, see
 
 
 def write_annotation_csv(path, events):
+    """One row per event; times as %.6f, angles as %.1f, written with one call."""
+    rows = ["%.6f,%.6f,%d,%.1f,%.1f\n" % (e.onset_s, e.offset_s, e.class_id,
+                                          e.azimuth_deg, e.elevation_deg) for e in events]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ANNOTATION_HEADER)
-        for e in events:
-            writer.writerow([
-                f"{e.onset_s:.6f}", f"{e.offset_s:.6f}", e.class_id,
-                f"{e.azimuth_deg:.1f}", f"{e.elevation_deg:.1f}",
-            ])
+        fh.write(",".join(ANNOTATION_HEADER) + "\n" + "".join(rows))
 
 
 def read_annotation_csv(path):
     """Annotation CSV back into EventSpec objects (templates re-derived)."""
     events = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ANNOTATION_HEADER:
-                raise FormatError(f"{path}: expected header {','.join(ANNOTATION_HEADER)}")
-            for line in reader:
-                if not line:
-                    continue
-                try:
-                    class_id = int(line[2])
-                    kind, freq = class_template(class_id)
-                    events.append(EventSpec(
-                        class_id=class_id,
-                        onset_s=float(line[0]),
-                        offset_s=float(line[1]),
-                        azimuth_deg=float(line[3]),
-                        elevation_deg=float(line[4]),
-                        source_kind=kind,
-                        base_freq_hz=freq,
-                    ))
-                except (ValueError, IndexError) as exc:
-                    raise FormatError(f"{path}: malformed row {line!r}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    for line in _csv_rows(path, ANNOTATION_HEADER):
+        try:
+            class_id = int(line[2])
+            kind, freq = class_template(class_id)
+            events.append(EventSpec(
+                class_id=class_id,
+                onset_s=float(line[0]),
+                offset_s=float(line[1]),
+                azimuth_deg=float(line[3]),
+                elevation_deg=float(line[4]),
+                source_kind=kind,
+                base_freq_hz=freq,
+            ))
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"{path}: malformed row {line!r}") from exc
     return events
 
 
@@ -254,20 +242,40 @@ def make_dataset(n_scenes, class_count, out_dir, seed=0,
                              max_overlap, scene_seed)
         clip, events = synth_scene(spec)
         name = f"scene_{i:04d}"
-        write_wav(out / f"{name}.wav", clip, encoding="float32")
+        dsp.write_wav(out / f"{name}.wav", clip, encoding="float32")
         write_annotation_csv(out / f"{name}.csv", events)
         names.append(f"{name}.wav")
 
     n_train = int(n_scenes * _TRAIN_FRACTION)
-    n_val = int(n_scenes * _VAL_FRACTION)
-    manifest = {
-        "train": names[:n_train],
-        "val": names[n_train:n_train + n_val],
-        "test": names[n_train + n_val:],
-    }
-    for split_name, entries in manifest.items():
-        (out / f"{split_name}.txt").write_text("".join(e + "\n" for e in entries))
+    ends = (0, n_train, n_train + int(n_scenes * _VAL_FRACTION), n_scenes)
+    manifest = {split: names[a:b] for split, a, b in zip(SPLITS, ends, ends[1:])}
+    for split, entries in manifest.items():
+        (out / f"{split}.txt").write_text("".join(e + "\n" for e in entries), "utf-8")
     return manifest
+
+
+def read_dataset(dataset_dir):
+    """Yield (split, clip, events) per scene of a make_dataset directory, lazily.
+
+    All three manifests (UTF-8, one WAV name per line) are checked before the
+    first scene is read: a missing one or a name containing NUL is a
+    DataError, undecodable bytes a FormatError.
+    """
+    root = Path(dataset_dir)
+    scenes = []
+    for split in SPLITS:
+        manifest = root / f"{split}.txt"
+        if not manifest.exists():
+            raise DataError(f"missing split manifest {manifest}")
+        try:
+            names = [name for name in manifest.read_text("utf-8").splitlines() if name]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{manifest}: not a UTF-8 text file: {exc}") from exc
+        if any("\0" in name for name in names):
+            raise DataError(f"{manifest}: a scene name contains a NUL byte")
+        scenes += [(split, root / name) for name in names]
+    for split, wav in scenes:
+        yield split, dsp.read_wav(wav), read_annotation_csv(wav.with_suffix(".csv"))
 
 
 def frame_targets(annotations, n_frames, hop_s, n_sed):

@@ -1,7 +1,11 @@
 """End-to-end CLI tests: flags, exit codes, file outputs, determinism."""
 
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,20 @@ from seldkit import cli, dsp, metrics, models, synth
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_seld(*argv):
+    """Run the command line in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "seldkit.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def assert_clean_exit_one(result):
+    """Exit 1 with an `error:` line and no Python traceback."""
+    assert result.returncode == 1, result.stderr
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def read_kv(path):
@@ -37,6 +55,18 @@ def tiny_train_cfg(tmp_path_factory, dataset_dir):
     models.save_config(path, cfg, {"sample_rate_hz": 8000,
                                    "dataset_dir": str(dataset_dir)})
     return path
+
+
+def dataset_copy(dataset_dir, train_cfg, tmp_path):
+    """A copy of the dataset and a config that trains on it: (directory, config)."""
+    copy = tmp_path / "ds"
+    copy.mkdir()
+    for src in dataset_dir.iterdir():
+        (copy / src.name).write_bytes(src.read_bytes())
+    cfg, extras = models.load_config(train_cfg)
+    config = tmp_path / "copy.cfg"
+    models.save_config(config, cfg, dict(extras, dataset_dir=str(copy)))
+    return copy, config
 
 
 @pytest.fixture(scope="module")
@@ -121,15 +151,9 @@ class TestTrainCommand:
                                      b"nan,1.5,0,10.0,0.0"])
     def test_corrupt_annotation_exits_one(self, tiny_train_cfg, dataset_dir, tmp_path,
                                           capsys, row):
-        corrupt = tmp_path / "ds"
-        corrupt.mkdir()
-        for src in dataset_dir.iterdir():
-            (corrupt / src.name).write_bytes(src.read_bytes())
+        corrupt, config = dataset_copy(dataset_dir, tiny_train_cfg, tmp_path)
         csv_path = corrupt / "scene_0000.csv"
         csv_path.write_bytes(csv_path.read_bytes() + row + b"\n")
-        cfg, extras = models.load_config(tiny_train_cfg)
-        config = tmp_path / "corrupt.cfg"
-        models.save_config(config, cfg, dict(extras, dataset_dir=str(corrupt)))
         rc = run_cli("train", "--config", config, "--out", tmp_path / "w.seldw",
                      "--epochs", 1)
         assert rc == 1
@@ -392,3 +416,42 @@ class TestInferCommand:
             assert float(kv["er"]) == pytest.approx(direct.er, abs=1e-8)
         if direct.de is not None:
             assert float(kv["de"]) == pytest.approx(direct.de, abs=1e-8)
+
+
+class TestHostileInvocations:
+    """Inputs that once ended in a traceback; each now exits 1 with an error line."""
+
+    @pytest.mark.parametrize("prefix, message", [
+        (b"\xff\xfe", "not a UTF-8 text file"),
+        (b"scene_0000.wav\x00\n", "NUL"),
+    ])
+    def test_train_on_hostile_manifest(self, tiny_train_cfg, dataset_dir, tmp_path,
+                                       prefix, message):
+        copy, config = dataset_copy(dataset_dir, tiny_train_cfg, tmp_path)
+        manifest = copy / "train.txt"
+        manifest.write_bytes(prefix + manifest.read_bytes())
+        result = run_seld("train", "--config", config, "--out", tmp_path / "w.seldw",
+                          "--epochs", 1)
+        assert_clean_exit_one(result)
+        assert "train.txt" in result.stderr and message in result.stderr
+
+    @pytest.mark.parametrize("sr, hop", [(100, 0), (0, 100), (100, -1)])
+    def test_eval_rate_or_hop_below_one(self, tmp_path, sr, hop):
+        # rejected before either (missing) CSV is opened
+        result = run_seld("eval", "--pred", tmp_path / "no.csv", "--ref", tmp_path / "no.csv",
+                          "--sr", sr, "--hop", hop)
+        assert_clean_exit_one(result)
+        assert "--sr and --hop" in result.stderr
+
+    def test_featurize_noise_file_without_noise_wav(self, sample_wav, tmp_path):
+        result = run_seld("featurize", "--wav", sample_wav, "--out", tmp_path / "f.csv",
+                          "--snr", 10, "--noise-kind", "noise_file")
+        assert_clean_exit_one(result)
+        assert "noise clip" in result.stderr
+
+    def test_infer_noise_file_without_noise_wav(self, trained_weights, sample_wav, tmp_path):
+        result = run_seld("infer", "--weights", trained_weights, "--wav", sample_wav,
+                          "--out", tmp_path / "p.csv", "--snr", 10,
+                          "--noise-kind", "noise_file")
+        assert_clean_exit_one(result)
+        assert "noise clip" in result.stderr

@@ -142,6 +142,34 @@ class TestWavIO:
         assert clip.samples.dtype == np.float32
         assert np.array_equal(clip.samples, expected.reshape(-1, 3).T)
 
+    def test_pcm24_read_matches_byte_shuffle_reference(self, tmp_path):
+        # every one of the 2**24 codes, in eight files of 2**21 samples
+        # with 1, 2 or 4 channels
+        codes = np.arange(1 << 24, dtype=np.int32)
+        np.random.default_rng(7).shuffle(codes)
+        for i, chunk in enumerate(np.split(codes, 8)):
+            channels = (1, 2, 4)[i % 3]
+            payload = chunk.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+            path = tmp_path / "c.wav"
+            _write_raw_wav(path, payload, audio_format=1, bits=24, channels=channels,
+                           rate=8000)
+            got = dsp.read_wav(path).samples
+            assert got.dtype == np.float32
+            assert np.array_equal(got, byte_shuffle_pcm24_decode(payload, channels))
+
+    def test_pcm24_write_matches_byte_shuffle_reference(self, tmp_path):
+        rng = np.random.default_rng(6)
+        special = [1.0, -1.0, 2.0 ** -24, -2.0 ** -24, 2.0 ** -23, 0.0, -0.0, 1.5, -1.5,
+                   1 - 2.0 ** -24, -1 + 2.0 ** -24, 3.0 * 2.0 ** -24, 1e30, -1e30,
+                   np.inf, -np.inf]
+        samples = np.concatenate([special, rng.uniform(-1.1, 1.1, 4 * 1000 - len(special))])
+        for channels in (1, 2, 4):
+            clip = dsp.AudioClip(samples.reshape(channels, -1).astype(np.float32), 8000)
+            path = tmp_path / "w.wav"
+            dsp.write_wav(path, clip, encoding="pcm24")
+            payload = path.read_bytes()[44:]
+            assert payload == byte_shuffle_pcm24_encode(clip)
+
     def test_nan_sample_rejected(self, tmp_path):
         path = tmp_path / "nan.wav"
         _write_raw_wav(path, struct.pack("<2f", float("nan"), 0.5), audio_format=3,
@@ -178,6 +206,33 @@ class TestWavIO:
             return
         assert clip.samples.dtype == np.float32
         assert 1 <= clip.n_channels <= 8 and clip.sample_rate_hz > 0
+
+
+def byte_shuffle_pcm24_decode(payload, channels):
+    """Reference decoder: each sample assembled from its three bytes by hand."""
+    raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+    ints = (
+        raw[:, 0].astype(np.int32)
+        | (raw[:, 1].astype(np.int32) << 8)
+        | (raw[:, 2].astype(np.int32) << 16)
+    )
+    ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
+    samples = np.empty((channels, len(ints) // channels), dtype=np.float32)
+    samples[:] = ints.reshape(-1, channels).T
+    samples /= float(1 << 23)
+    return samples
+
+
+def byte_shuffle_pcm24_encode(clip):
+    """Reference encoder: the payload's three bytes per sample split out by hand."""
+    interleaved = np.asarray(clip.samples, dtype=np.float64).T.reshape(-1)
+    ints = np.clip(np.round(interleaved * (1 << 23)), -(1 << 23), (1 << 23) - 1)
+    ints = ints.astype(np.int64)
+    buf = np.empty((len(ints), 3), dtype=np.uint8)
+    buf[:, 0] = ints & 0xFF
+    buf[:, 1] = (ints >> 8) & 0xFF
+    buf[:, 2] = (ints >> 16) & 0xFF
+    return buf.tobytes()
 
 
 def _write_raw_wav(path, payload, audio_format, bits, channels, rate, block_align=None):

@@ -451,6 +451,13 @@ class TestAnnotationActivity:
         with pytest.raises(DataError, match="class_id 4 out of range"):
             metrics.annotation_activity(ann, 4)
 
+    @pytest.mark.parametrize("bad", [-1, -5, 3])
+    def test_class_outside_zero_to_n_classes_is_named(self, bad):
+        # -1 would index class 2 from the end, -5 lies past the front
+        ann = [{0: None}, {1: None, bad: None}, {-2: None}]
+        with pytest.raises(DataError, match=f"class_id {bad} out of range"):
+            metrics.annotation_activity(ann, 3)
+
     def test_matches_per_frame_loop(self):
         rng = np.random.default_rng(16)
         for _ in range(20):

@@ -1,5 +1,7 @@
 """Tests for FOA encoding, scene synthesis, dataset generation, frame targets."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,18 @@ def simple_event(class_id=0, onset=1.0, offset=2.0, az=0.0, el=0.0, kind="tone",
         class_id=class_id, onset_s=onset, offset_s=offset,
         azimuth_deg=az, elevation_deg=el, source_kind=kind, base_freq_hz=freq,
     )
+
+
+def csv_writer_annotation_csv(path, events):
+    """Reference writer: one csv.writer row per event."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(synth.ANNOTATION_HEADER)
+        for e in events:
+            writer.writerow([
+                f"{e.onset_s:.6f}", f"{e.offset_s:.6f}", e.class_id,
+                f"{e.azimuth_deg:.1f}", f"{e.elevation_deg:.1f}",
+            ])
 
 
 class TestEncodeFoa:
@@ -182,6 +196,17 @@ class TestMakeDataset:
             assert got.azimuth_deg == orig.azimuth_deg
             assert got.elevation_deg == orig.elevation_deg
 
+    def test_annotation_writer_matches_csv_writer_reference(self, tmp_path):
+        events = [simple_event(onset=0.0, offset=1e-6, az=-180.0, el=-60.0),
+                  simple_event(class_id=12, onset=1.0000005, offset=29.9999994,
+                               az=-0.04, el=-0.0),
+                  simple_event(class_id=3, onset=1 / 3, offset=2 / 3, az=179.95, el=59.96)]
+        for n in (0, 1, 3):
+            out, ref = tmp_path / f"out{n}.csv", tmp_path / f"ref{n}.csv"
+            synth.write_annotation_csv(out, events[:n])
+            csv_writer_annotation_csv(ref, events[:n])
+            assert out.read_bytes() == ref.read_bytes()
+
     @pytest.mark.parametrize("body", [
         b"1.0,2.0,0,10.0,0.0\xff\n",   # not UTF-8
         b"1.0,2.0,-1,10.0,0.0\n",      # negative class id
@@ -229,6 +254,71 @@ class TestMakeDataset:
             synth.frame_targets(events, 8, 0.5, 3)
         except DataError:  # a class id beyond n_sed
             pass
+
+
+class TestReadDataset:
+    def test_make_dataset_roundtrip(self, tmp_path, monkeypatch):
+        written = []
+
+        def record(write, kind):
+            def wrapper(path, value, *args, **kwargs):
+                written.append((kind, path.name, value))
+                return write(path, value, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(synth.dsp, "write_wav", record(synth.dsp.write_wav, "clip"))
+        monkeypatch.setattr(synth, "write_annotation_csv",
+                            record(synth.write_annotation_csv, "events"))
+        manifest = synth.make_dataset(5, 3, tmp_path, seed=7, duration_s=3.0,
+                                      sample_rate_hz=8000)
+        clips = {name: v for kind, name, v in written if kind == "clip"}
+        events = {name: v for kind, name, v in written if kind == "events"}
+
+        scenes = list(synth.read_dataset(tmp_path))
+        listed = [(split, name) for split in synth.SPLITS for name in manifest[split]]
+        assert [split for split, _, _ in scenes] == [split for split, _ in listed] \
+            == ["train"] * 3 + ["val", "test"]
+        for (_, clip, got), (_, name) in zip(scenes, listed):
+            assert clip.sample_rate_hz == clips[name].sample_rate_hz == 8000
+            assert clip.samples.dtype == np.float32
+            assert np.array_equal(clip.samples, clips[name].samples)
+            assert got == events[name.replace(".wav", ".csv")]
+
+    def test_blank_manifest_lines_skipped(self, tmp_path):
+        manifest = synth.make_dataset(5, 2, tmp_path, seed=1, duration_s=2.0,
+                                      sample_rate_hz=8000)
+        (tmp_path / "val.txt").write_text("\n" + manifest["val"][0] + "\n\n")
+        assert [s for s, _, _ in synth.read_dataset(tmp_path)].count("val") == 1
+
+    @pytest.fixture()
+    def dataset(self, tmp_path):
+        synth.make_dataset(5, 2, tmp_path, seed=1, duration_s=2.0, sample_rate_hz=8000)
+        return tmp_path
+
+    @pytest.mark.parametrize("split", synth.SPLITS)
+    def test_undecodable_manifest_is_format_error(self, dataset, split):
+        manifest = dataset / f"{split}.txt"
+        manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+        with pytest.raises(FormatError, match=f"{split}.txt"):
+            list(synth.read_dataset(dataset))
+
+    def test_nul_in_name_is_data_error(self, dataset):
+        manifest = dataset / "val.txt"
+        manifest.write_bytes(b"scene_0003.wav\x00\n" + manifest.read_bytes())
+        with pytest.raises(DataError, match="NUL"):
+            list(synth.read_dataset(dataset))
+
+    @pytest.mark.parametrize("split", synth.SPLITS)
+    def test_missing_manifest_is_data_error(self, dataset, split):
+        (dataset / f"{split}.txt").unlink()
+        with pytest.raises(DataError, match=f"missing split manifest .*{split}.txt"):
+            list(synth.read_dataset(dataset))
+
+    def test_manifests_checked_before_any_scene_is_read(self, dataset, monkeypatch):
+        (dataset / "test.txt").unlink()
+        monkeypatch.setattr(synth.dsp, "read_wav", None)  # any scene read would fail
+        with pytest.raises(DataError):
+            next(synth.read_dataset(dataset))
 
 
 class TestFrameTargets:
