@@ -25,10 +25,18 @@ _FEATURE_CSV_BLOCK_ROWS = 65536
 
 
 def _resolve_seed(seed):
+    """--seed, else the SELD_SEED environment variable, else 0."""
     if seed is not None:
-        return seed
-    env = os.environ.get("SELD_SEED")
-    return int(env) if env else 0
+        source, text = "--seed", str(seed)
+    else:
+        source, text = "SELD_SEED", os.environ.get("SELD_SEED") or "0"
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InputError(f"{source} must be a non-negative integer, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

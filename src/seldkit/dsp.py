@@ -359,13 +359,15 @@ def make_reverb_ir(strength: float, sample_rate_hz: int, rng_seed: int = 0) -> n
     The decay constant is strength/100 * REVERB_MAX_DECAY_S seconds and the
     IR is truncated at REVERB_IR_DECAYS decay constants. Strength 0 gives a
     unit impulse. The direct-path sample is pinned to 1 and later samples
-    stay strictly below 1, so the IR peak is exactly its first sample.
+    stay strictly below 1, so the IR peak is exactly its first sample. The
+    tail draws from a stream of its own, (rng_seed, 1), so it shares no
+    draws with the AWGN that add_noise makes from the same seed.
     """
     tau = strength / 100.0 * REVERB_MAX_DECAY_S
     n_ir = int(round(REVERB_IR_DECAYS * tau * sample_rate_hz))
     if n_ir < 1:
         return np.ones(1, dtype=np.float64)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng((rng_seed, 1))
     t = np.arange(1, n_ir + 1) / sample_rate_hz
     tail = rng.uniform(-0.9, 0.9, n_ir) * np.exp(-t / tau)
     return np.concatenate([[1.0], tail])

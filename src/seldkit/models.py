@@ -400,7 +400,7 @@ class SeldModel:
             n = nn.batchnorm(a, self.bn_states[f"bn{i}"], self.mode, stats_out=stats)
             p = nn.maxpool_freq(n, width)
             if cache is not None:
-                cache["front"].append((a, n, p, cols[0], stats[0]))
+                cache["front"].append((n, p, cols[0], stats[0]))
             x = nn.relu(p)
         return x
 
@@ -432,7 +432,8 @@ class SeldModel:
             raise StateError(
                 f"forward_cached needs train mode (model is in {self.mode!r} mode): "
                 "backward() uses the batch statistics only training computes")
-        return self._forward_impl(features, _new_cache(), dropout_rng)
+        cache = {"front": [], "blocks": [], "tcn": None, "heads": None}
+        return self._forward_impl(features, cache, dropout_rng)
 
     def _forward_impl(self, features, cache, dropout_rng):
         x = self._check_input(features)
@@ -462,7 +463,7 @@ class SeldModel:
         dropped, mask = nn.spatial_dropout(g, self.cfg.dropout_rate, self.mode, rng)
         s = nn.conv1x1(dropped, P[f"block{k}.skip.w"], P[f"block{k}.skip.b"])
         if cache is not None:
-            cache["blocks"].append((x, z, bn_out, dropped, mask, stats[0]))
+            cache["blocks"].append((x, bn_out, dropped, mask, stats[0]))
         return x + s, s
 
     def tcn_forward(self, h, cache=None, dropout_rng=None):
@@ -516,14 +517,14 @@ class SeldModel:
         # so the residual gradient enters the chain as zero.
         d_u = np.zeros_like(d_skip)
         for k in reversed(range(self.cfg.tcn_blocks)):
-            x_in, z, bn_out, dropped, mask, stats = cache["blocks"][k]
+            x_in, bn_out, dropped, mask, bn_saved = cache["blocks"][k]
             d_s = d_skip + d_u
             d_dropped, grads[f"block{k}.skip.w"], grads[f"block{k}.skip.b"] = \
                 nn.conv1x1_backward(d_s, dropped, P[f"block{k}.skip.w"])
             d_g = nn.spatial_dropout_backward(d_dropped, mask)
             d_bn = nn.gated_activation_backward(d_g, bn_out)
             d_z, grads[f"block{k}.bn.gamma"], grads[f"block{k}.bn.beta"] = \
-                nn.batchnorm_backward(d_bn, z, self.bn_states[f"block{k}.bn"], stats)
+                nn.batchnorm_backward(d_bn, self.bn_states[f"block{k}.bn"], bn_saved)
             d_x, grads[f"block{k}.conv.w"], grads[f"block{k}.conv.b"] = \
                 nn.dilated_conv1d_backward(d_z, x_in, P[f"block{k}.conv.w"],
                                            self.cfg.dilations[k])
@@ -537,11 +538,11 @@ class SeldModel:
             d_ht.T.reshape(-1, c_f, self.cfg.temporal_in_width // c_f).transpose(1, 0, 2))
 
         for i in reversed(range(len(self.cfg.pool_schedule))):
-            a, n_out, p, cols, stats = cache["front"][i]
+            n_out, p, cols, bn_saved = cache["front"][i]
             d_p = nn.relu_backward(d_x3, p)
             d_n = nn.maxpool_freq_backward(d_p, n_out, self.cfg.pool_schedule[i])
             d_a, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = \
-                nn.batchnorm_backward(d_n, a, self.bn_states[f"bn{i}"], stats)
+                nn.batchnorm_backward(d_n, self.bn_states[f"bn{i}"], bn_saved)
             d_x3, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = \
                 nn.conv2d_backward(d_a, cols, P[f"conv{i}.w"], need_dx=(i > 0))
         return grads
@@ -591,10 +592,6 @@ class SeldModel:
             state.num_updates = int(updates)
         if "features.mean" in store:
             self.set_feature_stats(store.get("features.mean"), store.get("features.std"))
-
-
-def _new_cache():
-    return {"front": [], "blocks": [], "tcn": None, "heads": None}
 
 
 def build_model(cfg: ModelConfig, kind: str, seed: int = 0, dtype=np.float32) -> SeldModel:

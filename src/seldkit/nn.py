@@ -3,7 +3,7 @@
 Everything operates on plain numpy arrays. Convolutions run channel-first
 ((C, T, F) for 2-D, (C, T) for 1-D), dense layers frame-first (T, features).
 Backward functions take the upstream gradient plus what the forward saw or
-saved (conv2d's patch matrix, batchnorm's batch statistics) and return
+saved (conv2d's patch matrix, batchnorm's centred input and variance) and return
 gradients in the same order as the inputs. Compute dtype follows the input
 dtype: float32 in training/inference, float64 for gradient checks.
 """
@@ -219,15 +219,16 @@ def batchnorm(x, state: BatchNormState, mode: str, stats_out=None):
     Train mode uses the statistics of `x` and folds them into the running
     estimates with momentum BN_MOMENTUM; infer mode uses the running
     estimates (see batchnorm_affine). Passing a list as stats_out stashes
-    the train-mode (mean, var) there; batchnorm_backward reads them.
+    the train-mode (centred input, var) there; batchnorm_backward reads them.
     """
     shape = (-1,) + (1,) * (x.ndim - 1)
     if mode == "train":
         axes = tuple(range(1, x.ndim))
         mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        xc = x - mean.reshape(shape)
+        var = (xc * xc).mean(axis=axes)  # x.var's own steps, with the mean computed once
         if stats_out is not None:
-            stats_out.append((mean, var))
+            stats_out.append((xc, var))
         m = BN_MOMENTUM
         state.running_mean[:] = m * state.running_mean + (1 - m) * mean
         state.running_var[:] = m * state.running_var + (1 - m) * var
@@ -237,30 +238,32 @@ def batchnorm(x, state: BatchNormState, mode: str, stats_out=None):
         scale, shift = batchnorm_affine(state, x.dtype)
     else:
         raise InputError(f"batchnorm: unknown mode {mode!r}")
-    return x * scale.reshape(shape) + shift.reshape(shape)
+    y = x * scale.reshape(shape)
+    y += shift.reshape(shape)
+    return y
 
 
-def batchnorm_backward(dy, x, state: BatchNormState, stats):
+def batchnorm_backward(dy, state: BatchNormState, saved):
     """Train-mode gradients w.r.t. (input, gamma, beta).
 
-    `x` is the forward input and `stats` the (mean, var) the forward pass
-    stashed in stats_out.
+    `saved` is the (centred input, var) the forward pass stashed in stats_out.
     """
-    axes = tuple(range(1, x.ndim))
-    shape = (-1,) + (1,) * (x.ndim - 1)
-    n = x.size // x.shape[0]
-    mean, var = (s.reshape(shape) for s in stats)
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean) * inv_std
+    xc, var = saved
+    axes = tuple(range(1, xc.ndim))
+    shape = (-1,) + (1,) * (xc.ndim - 1)
+    n = xc.size // xc.shape[0]
+    inv_std = 1.0 / np.sqrt(var.reshape(shape) + BN_EPS)
+    xhat = xc * inv_std
 
     dgamma = (dy * xhat).sum(axis=axes)
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * state.gamma.astype(x.dtype).reshape(shape)
-    dx = (inv_std / n) * (
-        n * dxhat
-        - dxhat.sum(axis=axes).reshape(shape)
-        - xhat * (dxhat * xhat).sum(axis=axes).reshape(shape)
-    )
+    dxhat = dy * state.gamma.astype(xc.dtype).reshape(shape)
+    # dx = inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)), in place
+    dx = n * dxhat
+    dx -= dxhat.sum(axis=axes).reshape(shape)
+    dxhat *= xhat
+    dx -= xhat * dxhat.sum(axis=axes).reshape(shape)
+    dx *= inv_std / n
     return dx, dgamma, dbeta
 
 

@@ -79,7 +79,7 @@ class TestCriterion1Gradients:
             r = rng.standard_normal(x.shape)
             stats = []
             nn.batchnorm(x, state, "train", stats_out=stats)
-            dx, dgamma, dbeta = nn.batchnorm_backward(r, x, state, stats[0])
+            dx, dgamma, dbeta = nn.batchnorm_backward(r, state, stats[0])
             worst = max(worst, _check(
                 lambda: float(np.sum(nn.batchnorm(x, state, "train") * r)),
                 {"x": x, "gamma": state.gamma, "beta": state.beta},
@@ -154,7 +154,7 @@ class TestCriterion1Gradients:
             d_dropped, dw_s, db_s = nn.conv1x1_backward(d_s, dropped, w_s)
             d_g = nn.spatial_dropout_backward(d_dropped, mask)
             d_bn = nn.gated_activation_backward(d_g, bn)
-            d_z, dgamma, dbeta = nn.batchnorm_backward(d_bn, z, state, stats[0])
+            d_z, dgamma, dbeta = nn.batchnorm_backward(d_bn, state, stats[0])
             d_x, dw_d, db_d = nn.dilated_conv1d_backward(d_z, x, w_d, d)
             d_x = d_x + r_res
 
@@ -178,7 +178,7 @@ class TestCriterion1Gradients:
         model.mode = "train"
         _, cache = model.forward_cached(x, dropout_rng=np.random.default_rng(999))
         margin = np.inf
-        for (_, n, _, _, _), width in zip(cache["front"], model.cfg.pool_schedule):
+        for (n, _, _, _), width in zip(cache["front"], model.cfg.pool_schedule):
             margin = min(margin, float(np.min(np.abs(n))))
             # screened on n, not relu(n): when a window's top exceeds theta,
             # ReLU keeps it, and a negative runner-up only widens the gap

@@ -112,6 +112,22 @@ class TestSynthCommand:
         assert (tmp_path / "env" / "scene_0000.csv").read_text() == \
             (tmp_path / "flag" / "scene_0000.csv").read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--scenes", 5, "--classes", 2, "--out", "ds", "--seed", -1),
+        ("bench", "--model", "seldtcn", "--seq-len", 8, "--repeats", 3, "--seed", -1),
+    ])
+    def test_negative_seed_flag_rejected(self, tmp_path, argv):
+        assert_clean_exit_one(run_seld(*(tmp_path / a if a == "ds" else a for a in argv)))
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("value", ["-3", "abc"])
+    def test_bad_seed_env_rejected(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("SELD_SEED", value)
+        result = run_seld("synth", "--scenes", 5, "--classes", 2, "--out", tmp_path / "ds",
+                          "--duration", 2.0, "--sr", 8000)
+        assert_clean_exit_one(result)
+        assert "SELD_SEED" in result.stderr
+
 
 class TestTrainCommand:
     def test_trains_and_saves(self, trained_weights, tiny_train_cfg):

@@ -643,6 +643,20 @@ class TestReverb:
         with pytest.raises(InputError):
             dsp.AugmentSpec(kind="reverb", reverb_strength=101.0)
 
+    def test_ir_stream_is_its_own(self):
+        # same IR for one seed, another for the next, and no AWGN draws in
+        # the tail: add_noise's first raw doubles u would give a tail of
+        # (-0.9 + 1.8 u) exp(-t / tau)
+        sr, strength = 16000, 30.0
+        ir = dsp.make_reverb_ir(strength, sr, rng_seed=4)
+        assert ir.tobytes() == dsp.make_reverb_ir(strength, sr, rng_seed=4).tobytes()
+        assert not np.array_equal(ir, dsp.make_reverb_ir(strength, sr, rng_seed=5))
+        n = len(ir) - 1
+        tau = strength / 100.0 * dsp.REVERB_MAX_DECAY_S
+        envelope = np.exp(-np.arange(1, n + 1) / sr / tau)
+        shared = np.random.default_rng(4).uniform(-0.9, 0.9, n) * envelope
+        assert not np.any(ir[1:] == shared)
+
     def test_deterministic(self):
         clip = tone(440, 16000, 0.4)
         spec = dsp.AugmentSpec(kind="reverb", reverb_strength=40.0, rng_seed=11)

@@ -75,6 +75,39 @@ def ref_conv2d_backward_dx(dy, w):
     return np.matmul(w_t.reshape(c_in, -1), nn._im2col_3x3(dy)).reshape(c_in, t, f)
 
 
+def ref_batchnorm_train(x, state):
+    """Train-mode BN with numpy's own mean and var: (y, (mean, var))."""
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    axes = tuple(range(1, x.ndim))
+    mean, var = x.mean(axis=axes), x.var(axis=axes)
+    m = nn.BN_MOMENTUM
+    state.running_mean[:] = m * state.running_mean + (1 - m) * mean
+    state.running_var[:] = m * state.running_var + (1 - m) * var
+    state.num_updates += 1
+    scale = state.gamma.astype(x.dtype) / np.sqrt(var + nn.BN_EPS)
+    shift = state.beta.astype(x.dtype) - mean * scale
+    return x * scale.reshape(shape) + shift.reshape(shape), (mean, var)
+
+
+def ref_batchnorm_backward(dy, x, state, stats):
+    """BN backward that re-centres the forward input from (mean, var)."""
+    axes = tuple(range(1, x.ndim))
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    n = x.size // x.shape[0]
+    mean, var = (s.reshape(shape) for s in stats)
+    inv_std = 1.0 / np.sqrt(var + nn.BN_EPS)
+    xhat = (x - mean) * inv_std
+    dgamma = (dy * xhat).sum(axis=axes)
+    dbeta = dy.sum(axis=axes)
+    dxhat = dy * state.gamma.astype(x.dtype).reshape(shape)
+    dx = (inv_std / n) * (
+        n * dxhat
+        - dxhat.sum(axis=axes).reshape(shape)
+        - xhat * (dxhat * xhat).sum(axis=axes).reshape(shape)
+    )
+    return dx, dgamma, dbeta
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
@@ -325,6 +358,35 @@ class TestBatchnorm:
         y = nn.batchnorm(x, state, mode="infer")
         assert abs(y.mean()) < 0.05
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 32, 16), (4, 64)])
+    def test_matches_reference_bytes(self, dtype, shape):
+        rng = np.random.default_rng(61)
+        x = (1.5 + 2.0 * rng.standard_normal(shape)).astype(dtype)
+        x[2] = 0.75  # one constant channel: var 0, centred input all zero
+        dy = rng.standard_normal(shape).astype(dtype)
+        states = []
+        for _ in range(2):
+            st = nn.BatchNormState.create(shape[0], dtype=dtype)
+            st.gamma[:] = [0.5, 1.25, 2.0, -0.75]
+            st.beta[:] = [0.3, -1.1, 0.0, 2.5]
+            st.running_mean[:] = [0.1, 0.2, -0.3, 0.4]
+            st.running_var[:] = [1.5, 0.5, 2.0, 1.0]
+            states.append(st)
+        got_state, ref_state = states
+        saved = []
+        y = nn.batchnorm(x, got_state, "train", stats_out=saved)
+        ref_y, ref_stats = ref_batchnorm_train(x, ref_state)
+        assert y.tobytes() == ref_y.tobytes()
+        assert saved[0][1].tobytes() == ref_stats[1].tobytes()
+        assert got_state.running_mean.tobytes() == ref_state.running_mean.tobytes()
+        assert got_state.running_var.tobytes() == ref_state.running_var.tobytes()
+        assert got_state.num_updates == ref_state.num_updates == 1
+        got = nn.batchnorm_backward(dy, got_state, saved[0])
+        ref = ref_batchnorm_backward(dy, x, ref_state, ref_stats)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
     def test_gradcheck(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 4, 5))
@@ -338,7 +400,7 @@ class TestBatchnorm:
 
         stats = []
         nn.batchnorm(x, state, mode="train", stats_out=stats)
-        dx, dgamma, dbeta = nn.batchnorm_backward(r, x, state, stats[0])
+        dx, dgamma, dbeta = nn.batchnorm_backward(r, state, stats[0])
         rep = nn.grad_check(
             loss,
             {"x": x, "gamma": state.gamma, "beta": state.beta},
