@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, metrics, models, synth
-from .errors import InputError, SeldError
+from .errors import InputError, SeldError, check_seed
 
 FEATURE_CSV_HEADER = ["feature_channel", "frame", "bin", "value"]
 _FEATURE_CSV_BLOCK_ROWS = 65536
@@ -33,10 +33,8 @@ def _resolve_seed(seed):
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise InputError(f"{source} must be a non-negative integer, got {text!r}")
-    return value
+        raise InputError(f"{source} must be a non-negative integer, got {text!r}") from None
+    return check_seed(value, source)
 
 
 # ---------------------------------------------------------------------------

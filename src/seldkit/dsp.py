@@ -20,6 +20,7 @@ from .errors import (
     InputError,
     TruncatedFileError,
     UnsupportedError,
+    check_seed,
 )
 
 # STFT geometry: Hamming window of 512 samples at 50% overlap; the DC bin is
@@ -107,6 +108,7 @@ class AugmentSpec:
             raise InputError("snr_db must be finite")
         if not 0.0 <= self.reverb_strength <= 100.0:
             raise InputError("reverb_strength must lie in [0, 100]")
+        check_seed(self.rng_seed, "rng_seed")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the seed check that raises one."""
+
+import numbers
 
 
 class SeldError(Exception):
@@ -43,3 +45,14 @@ class StateError(SeldError, RuntimeError):
 
 class NumericError(SeldError, ArithmeticError):
     """A numeric contract was violated (NaN/Inf where finite values are required)."""
+
+
+def check_seed(seed, name="seed"):
+    """Return `seed` if it is a non-negative integer, else raise InputError.
+
+    numpy's generators reject a negative seed with a bare ValueError; this
+    turns that, and a non-integer seed, into a SeldError up front.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"{name} must be a non-negative integer, got {seed!r}")
+    return seed

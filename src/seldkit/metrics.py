@@ -12,7 +12,7 @@ still count toward frame cardinality but never enter angle matching).
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -319,22 +319,43 @@ def write_prediction_csv(path, ann):
         fh.write("\n".join(lines) + "\n")
 
 
-def _csv_rows(path, header):
-    """Non-blank rows of a UTF-8 CSV whose first row is `header` (cells stripped).
+def _csv_rows(path, header, dtype):
+    """The rows of a CSV whose first line is `header`, as one structured array.
 
-    A wrong header, undecodable bytes and CSV syntax errors are a FormatError.
+    The body is parsed by one np.loadtxt pass into the fields of `dtype`, one
+    column each; cells may carry surrounding spaces, blank lines are skipped
+    and columns past the header's are ignored. Non-ASCII bytes, a wrong
+    header and a cell that does not parse as its field's type are a
+    FormatError; a missing file raises OSError.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
-            if first is None or [h.strip() for h in first] != header:
-                raise FormatError(f"{path}: expected header {','.join(header)}")
-            for line in reader:
-                if line:
-                    yield line
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        # np.loadtxt (numpy 2.4) can crash the process while it reports an
+        # unparsable cell holding a character beyond U+FFFF, so it only ever
+        # sees ASCII
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+        raise FormatError(f"{path}: non-ASCII characters in a CSV file")
+    del data
+    with open(path, encoding="ascii") as fh:
+        if [h.strip() for h in fh.readline().split(",")] != header:
+            raise FormatError(f"{path}: expected header {','.join(header)}")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                # comments=None: a '#' is a malformed cell, not the start of a
+                # comment that would silently drop the rest of its row
+                return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                  usecols=range(len(header)), ndmin=1)
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed row: {exc}") from exc
+
+
+_PREDICTION_ROW = np.dtype([("t", "<i8"), ("c", "<i8"), ("v", "<f8", 3)])
 
 
 def read_prediction_csv(path):
@@ -343,29 +364,26 @@ def read_prediction_csv(path):
     Returns (annotations, n_frames); the list spans up to the largest frame
     index present. Zero vectors become None entries (direction unusable);
     all other vectors are normalized.
-    Undecodable bytes are a FormatError; indices beyond MAX_FRAMES or
-    MAX_CLASSES and vectors without a finite length are a DataError.
+    A cell that is not a plain ASCII number is a FormatError: quoted cells,
+    digit separators such as 1_0, non-ASCII digits and any non-ASCII byte.
+    Negative indices, indices beyond MAX_FRAMES or MAX_CLASSES and vectors
+    without a finite length are a DataError; the whole file is parsed before
+    these are checked, so a malformed row anywhere is reported first.
     """
-    rows = []
-    for line in _csv_rows(path, CSV_HEADER):
-        try:
-            t, c = int(line[0]), int(line[1])
-            x, y, z = float(line[2]), float(line[3]), float(line[4])
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}: malformed row {line!r}") from exc
-        if t < 0 or c < 0:
-            raise DataError(f"{path}: negative frame or class index")
-        if t >= MAX_FRAMES or c >= MAX_CLASSES:
-            raise DataError(f"{path}: frame index {t} or class id {c} exceeds "
-                            f"the limit of {MAX_FRAMES} frames, {MAX_CLASSES} classes")
-        rows.append((t, c, x, y, z))
-
-    v = np.fromiter((f for r in rows for f in r[2:]), np.float64, 3 * len(rows)).reshape(-1, 3)
+    rows = _csv_rows(path, CSV_HEADER, _PREDICTION_ROW)
+    t, c = rows["t"], rows["c"]
+    if t.size and min(t.min(), c.min()) < 0:
+        raise DataError(f"{path}: negative frame or class index")
+    over = np.flatnonzero((t >= MAX_FRAMES) | (c >= MAX_CLASSES))
+    if over.size:
+        i = over[0]
+        raise DataError(f"{path}: frame index {t[i]} or class id {c[i]} exceeds "
+                        f"the limit of {MAX_FRAMES} frames, {MAX_CLASSES} classes")
+    v = np.ascontiguousarray(rows["v"])
     with np.errstate(over="ignore"):
         bad = np.flatnonzero(~np.isfinite(np.linalg.norm(v, axis=1)))
     if bad.size:
-        t, c = rows[bad[0]][:2]
-        raise DataError(f"{path}: direction of frame {t}, class {c} has no finite length")
-    n_frames = 1 + max((r[0] for r in rows), default=-1)
-    frames, classes = (r[0] for r in rows), (r[1] for r in rows)
-    return _annotations_from_rows(n_frames, frames, classes, v), n_frames
+        i = bad[0]
+        raise DataError(f"{path}: direction of frame {t[i]}, class {c[i]} has no finite length")
+    n_frames = int(t.max()) + 1 if t.size else 0
+    return _annotations_from_rows(n_frames, t.tolist(), c.tolist(), v), n_frames

@@ -29,6 +29,7 @@ from .errors import (
     StateError,
     TruncatedFileError,
     UnsupportedError,
+    check_seed,
 )
 
 MODEL_KINDS = ("seldnet", "seldtcn")
@@ -292,6 +293,7 @@ class SeldModel:
     def __init__(self, cfg: ModelConfig, kind: str, seed: int = 0, dtype=np.float32):
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r}")
+        check_seed(seed)
         self.cfg = cfg
         self.kind = kind
         self.dtype = np.dtype(dtype)

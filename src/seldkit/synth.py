@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .errors import DataError, FormatError, InputError
+from .errors import DataError, FormatError, InputError, check_seed
 from .metrics import _csv_rows
 
 FADE_S = 0.010
@@ -195,24 +195,27 @@ def write_annotation_csv(path, events):
         fh.write(",".join(ANNOTATION_HEADER) + "\n" + "".join(rows))
 
 
+_ANNOTATION_ROW = np.dtype([("onset_s", "<f8"), ("offset_s", "<f8"), ("class_id", "<i8"),
+                            ("azimuth_deg", "<f8"), ("elevation_deg", "<f8")])
+
+
 def read_annotation_csv(path):
-    """Annotation CSV back into EventSpec objects (templates re-derived)."""
+    """Annotation CSV back into EventSpec objects (templates re-derived).
+
+    A cell that does not parse, or a row that is not a valid EventSpec, is a
+    FormatError.
+    """
     events = []
-    for line in _csv_rows(path, ANNOTATION_HEADER):
+    for onset, offset, class_id, az, el in _csv_rows(path, ANNOTATION_HEADER,
+                                                     _ANNOTATION_ROW).tolist():
+        kind, freq = class_template(class_id)
         try:
-            class_id = int(line[2])
-            kind, freq = class_template(class_id)
-            events.append(EventSpec(
-                class_id=class_id,
-                onset_s=float(line[0]),
-                offset_s=float(line[1]),
-                azimuth_deg=float(line[3]),
-                elevation_deg=float(line[4]),
-                source_kind=kind,
-                base_freq_hz=freq,
-            ))
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}: malformed row {line!r}") from exc
+            events.append(EventSpec(class_id=class_id, onset_s=onset, offset_s=offset,
+                                    azimuth_deg=az, elevation_deg=el,
+                                    source_kind=kind, base_freq_hz=freq))
+        except InputError as exc:
+            raise FormatError(f"{path}: invalid event {(onset, offset, class_id, az, el)}: "
+                              f"{exc}") from exc
     return events
 
 
@@ -228,6 +231,7 @@ def make_dataset(n_scenes, class_count, out_dir, seed=0,
         raise InputError("need at least 5 scenes for non-empty splits")
     if class_count < 1:
         raise InputError("class_count must be >= 1")
+    check_seed(seed)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

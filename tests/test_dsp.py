@@ -438,6 +438,13 @@ def ref_box_muller(rng, n):
 
 
 class TestAddNoise:
+    @pytest.mark.parametrize("kind", ["awgn", "reverb"])
+    @pytest.mark.parametrize("seed", [-1, 2.0])
+    def test_bad_seed_is_input_error(self, kind, seed):
+        # numpy's own error for -1, raised once the RNG is seeded, is a bare ValueError
+        with pytest.raises(InputError, match="rng_seed"):
+            dsp.AugmentSpec(kind=kind, snr_db=10.0, reverb_strength=30.0, rng_seed=seed)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 4096, 96001])
     def test_box_muller_matches_reference(self, n):
         got = dsp._box_muller(np.random.default_rng(n), n)

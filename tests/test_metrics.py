@@ -1,6 +1,9 @@
 """Metric tests: worked examples, invariants, and brute-force oracle duels."""
 
 import csv
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from seldkit import metrics
+import reference_csv
+from seldkit import metrics, synth
 from seldkit.errors import DataError, FormatError, InputError, NumericError, SeldError
 from oracle_metrics import oracle_doa_error, oracle_segment_er_f1, random_metric_case
 
@@ -680,6 +684,199 @@ class TestCsvInterchange:
         for frame in ann:
             for v in frame.values():
                 assert v is None or abs(np.linalg.norm(v) - 1.0) < 1e-9
+
+
+def dense_prediction_lines(rng, n_frames, n_classes=11, max_active=6):
+    """Rows shaped like the dense eval benchmark's: up to 6 events a frame, some zero."""
+    lines = []
+    for t in range(n_frames):
+        for c in np.sort(rng.choice(n_classes, int(rng.integers(0, max_active + 1)), False)):
+            v = np.zeros(3) if rng.random() < 0.05 else rng.standard_normal(3)
+            lines.append("%d,%d,%.10g,%.10g,%.10g" % (t, c, *v))
+    return lines
+
+
+# U+E1A3A and U+DF4BD crashed numpy 2.4.6's loadtxt in every fresh process
+# that fed it one in an unparsable cell; U+50000 and U+10FFFF crashed some.
+NON_BMP = ["\U000e1a3a", "\U000df4bd", "\U00050000", "\U0010ffff"]
+
+# Reads one prediction and one annotation CSV; prints each error class.
+_READ_BOTH = """
+import sys
+from seldkit import metrics, synth
+for read, path in ((metrics.read_prediction_csv, sys.argv[1]),
+                   (synth.read_annotation_csv, sys.argv[2])):
+    try:
+        read(path)
+        print("parsed")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+class TestLoadtxtReader:
+    """The np.loadtxt readers against the csv-module references in reference_csv."""
+
+    @staticmethod
+    def assert_same_annotations(path):
+        got = reference_csv.annotation_bytes(*metrics.read_prediction_csv(path))
+        want = reference_csv.annotation_bytes(*reference_csv.read_prediction_csv(path))
+        assert got == want
+
+    def test_matches_csv_module_on_metric_cases(self, tmp_path):
+        rng = np.random.default_rng(101)
+        path = tmp_path / "pred.csv"
+        for _ in range(10):
+            pred, ref, _, _ = random_metric_case(rng, max_classes=11, max_sources=6)
+            for ann in (pred, ref):
+                metrics.write_prediction_csv(path, ann)
+                self.assert_same_annotations(path)
+
+    def test_matches_csv_module_on_dense_file(self, tmp_path):
+        lines = dense_prediction_lines(np.random.default_rng(3), 2000)
+        path = tmp_path / "dense.csv"
+        path.write_text(",".join(metrics.CSV_HEADER) + "\n" + "\n".join(lines) + "\n")
+        self.assert_same_annotations(path)
+
+    def test_matches_csv_module_on_odd_but_valid_text(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(b" frame_index , class_id,x,y , z \r\n\r\n"
+                         b"  3 , +1 , 1e-300 ,-0.0, 2.5E+3 \r\n"
+                         b"007,0,1,2,3,extra,cells\n\n"
+                         b"3,1,0,0,0\n"          # a repeated key: the last row wins
+                         b"1,2,0.1,0.2,0.3")      # no final newline
+        self.assert_same_annotations(path)
+        ann, n_frames = metrics.read_prediction_csv(path)
+        assert n_frames == 8 and ann[3][1] is None
+
+    def test_empty_body_parses_without_warning(self, tmp_path, recwarn):
+        path = tmp_path / "empty.csv"
+        for body in ("", "\n\n"):
+            path.write_text(",".join(metrics.CSV_HEADER) + "\n" + body)
+            assert metrics.read_prediction_csv(path) == ([], 0)
+        assert not recwarn.list
+
+    HOSTILE = [
+        b"0,0,1,0,0\xff\n",                 # not UTF-8
+        b"0,99999999999,1,0,0\n",
+        b"99999999999,0,1,0,0\n",
+        b"-1,0,1,0,0\n",
+        b"0,-1,1,0,0\n",
+        b"0,0,nan,0,0\n",
+        b"0,0,1e308,1e308,0\n",
+        b"0,0,1,0,0\n3,1,nan,0,0\n2,2,inf,0,0\n",
+        b"0,zero,1,0,0\n",
+        b"0,0,1,0\n",
+        b"   \n",
+        b"0,0,,1,0\n",
+        b"0.5,0,1,0,0\n",
+        b"0,0,0x1,0,0\n",
+    ]
+
+    @pytest.mark.parametrize("body", HOSTILE)
+    def test_hostile_input_same_error_class(self, tmp_path, body):
+        path = tmp_path / "hostile.csv"
+        path.write_bytes(b"frame_index,class_id,x,y,z\n" + body)
+        with pytest.raises(SeldError) as want:
+            reference_csv.read_prediction_csv(path)
+        with pytest.raises(want.type):
+            metrics.read_prediction_csv(path)
+
+    @pytest.mark.parametrize("text", ["0,0,1,0,0\n", "frame_index;class_id;x;y;z\n", ""])
+    def test_wrong_header_same_error_class(self, tmp_path, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text)
+        for read in (reference_csv.read_prediction_csv, metrics.read_prediction_csv):
+            with pytest.raises(FormatError):
+                read(path)
+
+    @pytest.mark.parametrize("body", [
+        "0,\U0001f600,1,0,0\n",     # an emoji
+        "\u0661,0,1,0,0\n",         # ARABIC-INDIC DIGIT ONE, which int() accepts
+        "0,0,1,0,0 # note\n",      # a '#' is a malformed cell, not a comment
+        '"1",0,1,0,0\n',            # a quoted cell
+        "1_0,0,1,0,0\n",            # a digit separator, which int() accepts
+        f"{2 ** 64},0,1,0,0\n",     # an index beyond int64, once a range DataError
+    ])
+    def test_narrowed_accept_set(self, tmp_path, body):
+        path = tmp_path / "narrow.csv"
+        path.write_text("frame_index,class_id,x,y,z\n" + body, encoding="utf-8")
+        with pytest.raises(FormatError):
+            metrics.read_prediction_csv(path)
+
+    def test_malformed_row_reported_before_earlier_range_violation(self, tmp_path):
+        path = tmp_path / "both.csv"
+        path.write_text("frame_index,class_id,x,y,z\n-1,0,1,0,0\n0,x,1,0,0\n")
+        with pytest.raises(DataError):
+            reference_csv.read_prediction_csv(path)
+        with pytest.raises(FormatError):
+            metrics.read_prediction_csv(path)
+
+    ASCII_FIELDS = st.one_of(
+        st.integers(-3, 40).map(str),
+        st.floats().map(repr),
+        st.sampled_from(["", " 1", "+2", "007", "nan", "-inf", "Infinity", "1e308", ".5",
+                         "1_0", '"1"', "0x1", "1 2", "#", "\t3\t", "\x0b4", "1e", "-",
+                         str(metrics.MAX_FRAMES), str(metrics.MAX_CLASSES), str(2 ** 64)]),
+        st.text(alphabet=st.characters(min_codepoint=9, max_codepoint=126), max_size=4),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(ASCII_FIELDS, max_size=7), max_size=6))
+    def test_fuzz_agrees_with_csv_module(self, tmp_path_factory, rows):
+        # what the reader parses the reference parses identically; what the
+        # reference parses the reader parses too, unless it quotes a cell or
+        # writes a digit separator
+        path = tmp_path_factory.mktemp("fuzz") / "rows.csv"
+        text = "frame_index,class_id,x,y,z\n" + "".join(",".join(r) + "\n" for r in rows)
+        path.write_bytes(text.encode("ascii"))
+        try:
+            want = reference_csv.annotation_bytes(*reference_csv.read_prediction_csv(path))
+        except SeldError:
+            want = None
+        try:
+            got = reference_csv.annotation_bytes(*metrics.read_prediction_csv(path))
+        except SeldError:
+            got = None
+        if got is not None:
+            assert got == want
+        elif want is not None:
+            assert "_" in text or '"' in text
+
+    def test_transient_memory_of_a_dense_read(self, tmp_path):
+        # the csv-module reader peaked at 1.96x what its result retains
+        # (Python tuples per row); the loadtxt reader at about 1.5x
+        lines = dense_prediction_lines(np.random.default_rng(11), 18_600)
+        assert len(lines) > 55_000
+        path = tmp_path / "dense.csv"
+        path.write_text(",".join(metrics.CSV_HEADER) + "\n" + "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            result = metrics.read_prediction_csv(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result[1] == 18_600
+        assert peak < 1.75 * retained
+
+    @pytest.mark.parametrize("column", [0, 2])
+    @pytest.mark.parametrize("char", NON_BMP)
+    def test_non_bmp_character_is_format_error_not_a_crash(self, tmp_path, char, column):
+        pred_cells, ann_cells = ["0", "0", "1", "0", "0"], ["1.0", "2.0", "0", "10.0", "0.0"]
+        pred_cells[column] = ann_cells[column] = char
+        pred, ann = tmp_path / "pred.csv", tmp_path / "ann.csv"
+        pred.write_text("frame_index,class_id,x,y,z\n" + ",".join(pred_cells) + "\n",
+                        encoding="utf-8")
+        ann.write_text(",".join(synth.ANNOTATION_HEADER) + "\n" + ",".join(ann_cells) + "\n",
+                       encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(metrics.__file__)))
+        children = [subprocess.Popen([sys.executable, "-c", _READ_BOTH, str(pred), str(ann)],
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                     text=True, env=env) for _ in range(3)]
+        for child in children:
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+            assert out.split() == ["FormatError", "FormatError"]
 
 
 class TestEvaluateAnnotations:

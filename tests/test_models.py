@@ -301,6 +301,12 @@ class TestBuildAndForward:
         with pytest.raises(ConfigError):
             models.build_model(tiny_cfg(), "transformer")
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_seed_is_input_error(self, seed):
+        # numpy's own error for -1 is a bare ValueError
+        with pytest.raises(InputError, match="seed"):
+            models.build_model(tiny_cfg(), "seldtcn", seed=seed)
+
     @pytest.mark.parametrize("kind", ["seldtcn", "seldnet"])
     @pytest.mark.parametrize("t_len", [1, 9, 33])
     def test_forward_shapes_and_ranges(self, kind, t_len):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_csv
 from seldkit import dsp, metrics, synth
 from seldkit.errors import DataError, FormatError, InputError, SeldError
 
@@ -182,6 +183,12 @@ class TestMakeDataset:
         with pytest.raises(InputError):
             synth.make_dataset(4, 2, tmp_path)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_bad_seed_rejected_before_any_file(self, tmp_path, seed):
+        with pytest.raises(InputError, match="seed"):
+            synth.make_dataset(5, 2, tmp_path / "out", seed=seed)
+        assert not (tmp_path / "out").exists()
+
     def test_annotation_roundtrip(self, tmp_path):
         events = [simple_event(az=-170.0, el=60.0, freq=300.0),
                   simple_event(class_id=1, onset=2.25, offset=3.5, az=10.0, freq=600.0)]
@@ -254,6 +261,94 @@ class TestMakeDataset:
             synth.frame_targets(events, 8, 0.5, 3)
         except DataError:  # a class id beyond n_sed
             pass
+
+
+class TestAnnotationReaderReference:
+    """read_annotation_csv against the csv-module reference in reference_csv."""
+
+    @staticmethod
+    def assert_same_events(path):
+        got = reference_csv.event_fields(synth.read_annotation_csv(path))
+        assert got == reference_csv.event_fields(reference_csv.read_annotation_csv(path))
+
+    def test_matches_csv_module_on_random_scenes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "ann.csv"
+        for i in range(20):
+            spec = synth._random_scene(rng, 11, 30.0, 16000, 3, i)
+            synth.write_annotation_csv(path, spec.events)
+            self.assert_same_events(path)
+
+    def test_matches_csv_module_on_odd_but_valid_text(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(b" onset_s , offset_s,class_id,azimuth_deg , elevation_deg \r\n\n"
+                         b" 0.1 , 2.5e0 , +3 , -0.0 , 60 ,extra\r\n\n"
+                         b"1e-3,1.0000005,007,-180,-60.0\n"
+                         b"0,1,0,179.9999,0")
+        self.assert_same_events(path)
+        assert len(synth.read_annotation_csv(path)) == 3
+
+    @pytest.mark.parametrize("body", [
+        b"1.0,2.0,0,10.0,0.0\xff\n",
+        b"1.0,2.0,-1,10.0,0.0\n",
+        b"nan,2.0,0,10.0,0.0\n",
+        b"1.0,inf,0,10.0,0.0\n",
+        b"2.0,1.0,0,10.0,0.0\n",      # offset before onset
+        b"1.0,2.0,0,180.0,0.0\n",     # azimuth outside [-180, 180)
+        b"1.0,2.0,0,10.0,61\n",
+        b"1.0,2.0,zero,10.0,0.0\n",
+        b"1.0,2.0,1.0,10.0,0.0\n",    # a float class id
+        b"1.0,2.0,0,10.0\n",
+        b"  \n",
+    ])
+    def test_hostile_input_same_error_class(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(ANNOTATION_HEADER + body)
+        with pytest.raises(SeldError) as want:
+            reference_csv.read_annotation_csv(path)
+        with pytest.raises(want.type):
+            synth.read_annotation_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        "1.0,2.0,\U0001f600,10.0,0.0\n",
+        "1.0,2.0,\u0661,10.0,0.0\n",     # ARABIC-INDIC DIGIT ONE, which int() accepts
+        "1.0,2.0,0,10.0,0.0 #\n",
+        '1.0,2.0,"0",10.0,0.0\n',
+        "1.0,2.0,1_0,10.0,0.0\n",
+        f"1.0,2.0,{2 ** 64},10.0,0.0\n",  # a class id beyond int64
+    ])
+    def test_narrowed_accept_set(self, tmp_path, body):
+        path = tmp_path / "narrow.csv"
+        path.write_bytes(ANNOTATION_HEADER + body.encode("utf-8"))
+        with pytest.raises(FormatError):
+            synth.read_annotation_csv(path)
+
+    ASCII_FIELDS = st.one_of(
+        st.integers(-3, 40).map(str),
+        st.floats().map(repr),
+        st.sampled_from(["", " 1", "+2", "007", "nan", "-inf", "1e308", ".5", "180", "-60",
+                         "1_0", '"1"', "0x1", "#", "\t3", str(2 ** 64)]),
+        st.text(alphabet=st.characters(min_codepoint=9, max_codepoint=126), max_size=4),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(ASCII_FIELDS, max_size=6), max_size=5))
+    def test_fuzz_agrees_with_csv_module(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("fuzz") / "rows.csv"
+        text = "".join(",".join(r) + "\n" for r in rows)
+        path.write_bytes(ANNOTATION_HEADER + text.encode("ascii"))
+        try:
+            want = reference_csv.event_fields(reference_csv.read_annotation_csv(path))
+        except SeldError:
+            want = None
+        try:
+            got = reference_csv.event_fields(synth.read_annotation_csv(path))
+        except SeldError:
+            got = None
+        if got is not None:
+            assert got == want
+        elif want is not None:
+            assert "_" in text or '"' in text or str(2 ** 64) in text
 
 
 class TestReadDataset:
