@@ -228,12 +228,12 @@ def cmd_bench(args):
 # featurize / infer
 # ---------------------------------------------------------------------------
 
-def _load_augmented(args):
-    """Shared ingestion: read wav, then resample -> noise -> reverb."""
+def _load_augmented(args, sample_rate_hz):
+    """Shared ingestion: read wav, then resample (if a rate is given) -> noise -> reverb."""
     clip = dsp.read_wav(args.wav)
     seed = _resolve_seed(args.seed)
-    if args.sr is not None and args.sr != clip.sample_rate_hz:
-        clip = dsp.resample(clip, args.sr)
+    if sample_rate_hz is not None and sample_rate_hz != clip.sample_rate_hz:
+        clip = dsp.resample(clip, sample_rate_hz)
     if args.snr is not None:
         spec = dsp.AugmentSpec(kind=args.noise_kind, snr_db=args.snr, rng_seed=seed)
         noise = (dsp.read_wav(args.noise_wav)
@@ -246,7 +246,7 @@ def _load_augmented(args):
 
 
 def cmd_featurize(args):
-    clip = _load_augmented(args)
+    clip = _load_augmented(args, args.sr)
     feats = dsp.stft_features(clip)
     c, t, f = feats.values.shape
     # Rows are formatted and written a block of frames at a time, so the
@@ -265,10 +265,15 @@ def cmd_featurize(args):
 
 
 def cmd_infer(args):
-    cfg, _ = models.load_config(f"{args.weights}.cfg")
+    cfg, extras = models.load_config(f"{args.weights}.cfg")
+    # featurize at the rate the model was trained at, when its sidecar says
+    sample_rate = extras.get("sample_rate_hz", args.sr)
+    if args.sr is not None and args.sr != sample_rate:
+        raise InputError(f"--sr {args.sr} contradicts sample_rate_hz {sample_rate} "
+                         f"of {args.weights}.cfg")
     store = models.load_weights(args.weights)
     model = models.model_from_store(cfg, store)
-    clip = _load_augmented(args)
+    clip = _load_augmented(args, sample_rate)
     feats = dsp.stft_features(clip)
     pred = model.forward(feats)
     activity = metrics.binarize_sed(pred.sed)

@@ -328,6 +328,12 @@ def add_noise(clip: AudioClip, spec: AugmentSpec, noise: AudioClip | None = None
     """
     if spec.kind not in ("awgn", "noise_file"):
         raise InputError(f"add_noise cannot apply kind {spec.kind!r}")
+    try:  # the noise power scale must be a finite positive float
+        scale = 10.0 ** (float(spec.snr_db) / 10.0)
+    except OverflowError:
+        scale = np.inf
+    if not 0.0 < scale < np.inf:
+        raise InputError(f"snr_db {spec.snr_db:g} is out of range: 10^(snr_db/10) = {scale:g}")
     x = clip.samples.astype(np.float64)
     p_signal = np.mean(x ** 2)
     if p_signal <= 0.0:
@@ -349,7 +355,7 @@ def add_noise(clip: AudioClip, spec: AugmentSpec, noise: AudioClip | None = None
     p_noise = np.mean(n ** 2)
     if p_noise <= 0.0:
         raise DegenerateInputError("noise power is zero")
-    gain = np.sqrt(p_signal / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
+    gain = np.sqrt(p_signal / (p_noise * scale))
     n *= gain
     n += x
     return AudioClip(samples=n.astype(np.float32), sample_rate_hz=clip.sample_rate_hz)

@@ -175,63 +175,35 @@ class Prediction:
         return self.sed.shape[0]
 
 
-class WeightStore:
-    """Ordered name -> float array map with a bit-exact binary format."""
+def save_weights(store, path):
+    """Write a name -> float32/float64 array dict as SELDW1, in dict and C order.
 
-    def __init__(self):
-        self._entries = {}
-
-    def put(self, name, array):
-        if name in self._entries:
-            raise FormatError(f"duplicate weight name {name!r}")
-        # a copy, so a store taken mid-training does not follow later updates
-        array = np.array(array, order="C", ndmin=1)
-        if array.dtype not in (np.float32, np.float64):
-            raise FormatError(f"{name!r}: only float32/float64 tensors are storable")
-        self._entries[name] = array
-
-    def get(self, name):
-        return self._entries[name]
-
-    def names(self):
-        return list(self._entries)
-
-    def items(self):
-        return self._entries.items()
-
-    def __contains__(self, name):
-        return name in self._entries
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightStore):
-            return NotImplemented
-        if self.names() != other.names():
-            return False
-        return all(
-            a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-            for (_, a), (_, b) in zip(self.items(), other.items())
-        )
-
-
-def save_weights(store: WeightStore, path):
-    """Write a WeightStore in the SELDW1 binary format."""
+    Rank 0 is written as shape (1,); what the format cannot hold is a FormatError.
+    """
     parts = [WEIGHTS_MAGIC, struct.pack("<I", len(store))]
     for name, array in store.items():
-        encoded = name.encode("utf-8")
+        array = np.atleast_1d(array)
+        if array.dtype not in (np.float32, np.float64):
+            raise FormatError(f"{name!r}: only float32/float64 tensors are storable")
         code = 0 if array.dtype == np.float32 else 1
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<BB", code, array.ndim))
-        parts.append(struct.pack(f"<{array.ndim}I", *array.shape))
+        try:  # a name over 65,535 UTF-8 bytes or a dimension >= 2**32 does not fit
+            encoded = name.encode("utf-8")
+            parts.append(struct.pack(f"<H{len(encoded)}sBB{array.ndim}I", len(encoded),
+                                     encoded, code, array.ndim, *array.shape))
+        except (UnicodeEncodeError, struct.error) as exc:
+            raise FormatError(f"{name[:40]!r}: not storable in SELDW1: {exc}") from exc
         parts.append(array.astype(_DTYPE_CODES[code], copy=False).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
-def load_weights(path) -> WeightStore:
-    """Read a SELDW1 file; bad magic or short reads raise format errors."""
+def load_weights(path) -> dict:
+    """Read a SELDW1 file into a name -> array dict in file order.
+
+    Arrays are writable C-order copies, rank 0 as (1,); bad files raise FormatError.
+    """
+    # Entries are parsed from bytes slices and then copied. Copying each tensor
+    # once from a memoryview slice raised the peak RSS of repeated `seld infer`
+    # runs by about 11 MB through glibc's dynamic mmap threshold.
     data = Path(path).read_bytes()
     if len(data) < len(WEIGHTS_MAGIC) + 4:
         raise TruncatedFileError(f"{path}: file too short")
@@ -249,7 +221,7 @@ def load_weights(path) -> WeightStore:
         pos += nbytes
         return data[start:pos]
 
-    store = WeightStore()
+    store = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", need(2))
         try:
@@ -269,7 +241,7 @@ def load_weights(path) -> WeightStore:
             raise FormatError(f"{path}: entry {name!r} has unsupported shape {shape}") from exc
         if name in store:
             raise FormatError(f"{path}: duplicate entry {name!r}")
-        store.put(name, array)
+        store[name] = np.array(array, ndmin=1)
     return store
 
 
@@ -558,22 +530,23 @@ class SeldModel:
             yield f"{name}.running_mean", state.running_mean
             yield f"{name}.running_var", state.running_var
 
-    def to_store(self) -> WeightStore:
-        store = WeightStore()
-        for name, array in self._stored_tensors():
-            store.put(name, array)
+    def to_store(self) -> dict:
+        """Copies of the stored tensors by name, in file order, so they do not follow training."""
         updates = max(s.num_updates for s in self.bn_states.values())
-        store.put("meta.bn_updates", np.array([float(updates)], dtype=np.float64))
+        tensors = [*self._stored_tensors(),
+                   ("meta.bn_updates", np.array([float(updates)], dtype=np.float64))]
         if self.feature_mean is not None:
-            store.put("features.mean", self.feature_mean)
-            store.put("features.std", self.feature_std)
-        return store
+            tensors += [("features.mean", self.feature_mean), ("features.std", self.feature_std)]
+        return {name: np.array(array, order="C", ndmin=1) for name, array in tensors}
 
-    def load_store(self, store: WeightStore):
+    def load_store(self, store: dict):
+        """Copy a store into the model. Names and shapes must match (else ConfigError);
+        values must be finite, running_var and meta.bn_updates >= 0 and features.std > 0
+        (else FormatError)."""
         shapes = {name: array.shape for name, array in self._stored_tensors()}
         shapes["meta.bn_updates"] = (1,)
         optional = {"features.mean", "features.std"}
-        present = set(store.names())
+        present = set(store)
         if present & optional:  # the feature statistics come as a pair
             shapes.update(dict.fromkeys(optional, (self.cfg.n_feature_channels,)))
         missing = shapes.keys() - present
@@ -583,17 +556,23 @@ class SeldModel:
                 f"weights do not match the model: missing={sorted(missing)[:4]} "
                 f"extra={sorted(extra)[:4]}")
         for name, shape in shapes.items():
-            if store.get(name).shape != shape:
-                raise ConfigError(f"{name}: stored shape {store.get(name).shape} != {shape}")
-        updates = float(store.get("meta.bn_updates")[0])
-        if not (math.isfinite(updates) and updates >= 0):
-            raise FormatError(f"meta.bn_updates must be a finite count >= 0, got {updates}")
+            array = store[name]
+            if array.shape != shape:
+                raise ConfigError(f"{name}: stored shape {array.shape} != {shape}")
+            if not np.isfinite(array).all():
+                raise FormatError(f"{name}: stored values must be finite")
+            if name == "features.std" and not (array > 0).all():
+                raise FormatError(f"{name}: stored values must be > 0")
+            # 0 is allowed: a constant channel's running variance decays to exactly 0
+            if (name.endswith(".running_var") or name == "meta.bn_updates") and (array < 0).any():
+                raise FormatError(f"{name}: stored values must be >= 0")
         for name, array in self._stored_tensors():
-            array[:] = store.get(name).astype(self.dtype)
+            array[:] = store[name]
+        updates = int(store["meta.bn_updates"][0])
         for state in self.bn_states.values():
-            state.num_updates = int(updates)
+            state.num_updates = updates
         if "features.mean" in store:
-            self.set_feature_stats(store.get("features.mean"), store.get("features.std"))
+            self.set_feature_stats(store["features.mean"], store["features.std"])
 
 
 def build_model(cfg: ModelConfig, kind: str, seed: int = 0, dtype=np.float32) -> SeldModel:
@@ -601,7 +580,7 @@ def build_model(cfg: ModelConfig, kind: str, seed: int = 0, dtype=np.float32) ->
     return SeldModel(cfg, kind, seed=seed, dtype=dtype)
 
 
-def model_from_store(cfg: ModelConfig, store: WeightStore) -> SeldModel:
+def model_from_store(cfg: ModelConfig, store: dict) -> SeldModel:
     """Rebuild a model from stored weights; the kind is inferred from names."""
     kind = "seldtcn" if "proj.w" in store else "seldnet"
     model = build_model(cfg, kind, seed=0)

@@ -120,6 +120,11 @@ def max_concurrent_events(events):
     return peak
 
 
+def _check_duration_and_rate(duration_s, sample_rate_hz):
+    if not (0 < duration_s < np.inf and 0 < sample_rate_hz < np.inf):
+        raise InputError("scene duration and sample rate must be finite and positive")
+
+
 def synth_scene(spec: SceneSpec):
     """Render a scene to an AudioClip; returns (clip, annotations).
 
@@ -127,8 +132,7 @@ def synth_scene(spec: SceneSpec):
     direction and summed; the mix is peak-normalized to 0.9. Annotations
     echo the event list exactly.
     """
-    if spec.duration_s <= 0 or spec.sample_rate_hz <= 0:
-        raise InputError("scene duration and sample rate must be positive")
+    _check_duration_and_rate(spec.duration_s, spec.sample_rate_hz)
     for e in spec.events:
         if e.onset_s < 0 or e.offset_s > spec.duration_s:
             raise InputError("event extends outside the scene")
@@ -231,6 +235,7 @@ def make_dataset(n_scenes, class_count, out_dir, seed=0,
         raise InputError("need at least 5 scenes for non-empty splits")
     if class_count < 1:
         raise InputError("class_count must be >= 1")
+    _check_duration_and_rate(duration_s, sample_rate_hz)
     check_seed(seed)
     out = Path(out_dir)
     try:

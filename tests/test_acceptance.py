@@ -12,6 +12,7 @@ import pytest
 
 from seldkit import cli, metrics, models, nn, synth
 from oracle_metrics import oracle_doa_error, oracle_segment_er_f1, random_metric_case
+from weight_stores import same_store
 
 
 def report(number, description, ok, detail=""):
@@ -479,7 +480,7 @@ class TestCriterion8RoundTrips:
         path = tmp_path / "rt.seldw"
         models.save_weights(store, path)
         loaded = models.load_weights(path)
-        ok = loaded == store and loaded.names() == store.names()
+        ok = same_store(loaded, store)
         report(8, "weight save/load round-trip bit-exact", ok,
                f"{len(store)} tensors")
 

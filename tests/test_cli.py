@@ -120,6 +120,14 @@ class TestSynthCommand:
         assert_clean_exit_one(run_seld(*(tmp_path / a if a == "ds" else a for a in argv)))
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_bad_duration_exits_one(self, tmp_path, capsys, duration):
+        rc = run_cli("synth", "--scenes", 5, "--classes", 2, "--out", tmp_path / "ds",
+                     "--duration", duration, "--sr", 8000)
+        assert rc == 1
+        assert "finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
     @pytest.mark.parametrize("value", ["-3", "abc"])
     def test_bad_seed_env_rejected(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("SELD_SEED", value)
@@ -384,12 +392,14 @@ class TestInferCommand:
         ("meta.bn_updates", np.array([np.nan])),
         ("bn0.running_var", np.ones(3, np.float32)),
         ("features.mean", np.zeros(3, np.float32)),
+        ("conv0.w", np.full((4, 8, 3, 3), np.nan, np.float32)),
+        ("bn0.running_var", np.full(4, -1.0, np.float32)),
+        ("block0.bn.running_var", np.full(6, np.inf, np.float32)),
     ])
     def test_crafted_weights_exit_one(self, trained_weights, sample_wav, tmp_path,
                                       capsys, name, value):
-        store = models.WeightStore()
-        for entry, array in models.load_weights(trained_weights).items():
-            store.put(entry, value if entry == name else array)
+        store = {entry: value if entry == name else array
+                 for entry, array in models.load_weights(trained_weights).items()}
         crafted = tmp_path / "crafted.seldw"
         models.save_weights(store, crafted)
         (tmp_path / "crafted.seldw.cfg").write_bytes(
@@ -398,6 +408,34 @@ class TestInferCommand:
                      "--out", tmp_path / "p.csv")
         assert rc == 1
         assert name in capsys.readouterr().err
+
+    def test_sidecar_sample_rate_used(self, tmp_path, capsys):
+        # a scene stored at 48 kHz, a model whose sidecar says it was trained at 16 kHz
+        spec = synth.SceneSpec(
+            duration_s=4.0, sample_rate_hz=48000,
+            events=[synth.EventSpec(class_id=1, onset_s=0.5, offset_s=3.0,
+                                    azimuth_deg=-70.0, elevation_deg=20.0,
+                                    source_kind="tone", base_freq_hz=600.0)],
+            seed=6)
+        wav = tmp_path / "scene48k.wav"
+        dsp.write_wav(wav, synth.synth_scene(spec)[0], encoding="float32")
+        cfg = models.ModelConfig(n_sed=2, conv_filters=4, tcn_filters=6, tcn_blocks=2,
+                                 tcn_out_filters=5, fc_units=4)
+        model = models.build_model(cfg, "seldtcn", seed=3)
+        model.forward(np.random.default_rng(3).standard_normal((8, 16, 256)))  # BN statistics
+        weights = tmp_path / "m.seldw"
+        models.save_weights(model.to_store(), weights)
+        models.save_config(f"{weights}.cfg", cfg, {"sample_rate_hz": 16000})
+        outs = {}
+        for flags in ((), ("--sr", 16000)):
+            outs[flags] = tmp_path / f"pred{len(flags)}.csv"
+            assert run_cli("infer", "--weights", weights, "--wav", wav,
+                           "--out", outs[flags], *flags) == 0
+            assert capsys.readouterr().out.startswith(f"{1 + (4 * 16000 - 512) // 256} frames")
+        assert outs[()].read_bytes() == outs[("--sr", 16000)].read_bytes()
+        assert run_cli("infer", "--weights", weights, "--wav", wav,
+                       "--out", tmp_path / "p.csv", "--sr", 48000) == 1
+        assert "sample_rate_hz 16000" in capsys.readouterr().err
 
     def test_cli_eval_matches_library(self, trained_weights, dataset_dir, tmp_path, capsys):
         # no CLI-layer drift: eval of infer output against ground truth
@@ -464,6 +502,13 @@ class TestHostileInvocations:
                           "--snr", 10, "--noise-kind", "noise_file")
         assert_clean_exit_one(result)
         assert "noise clip" in result.stderr
+
+    @pytest.mark.parametrize("snr", ["1e308", "-1e308"])
+    def test_featurize_snr_outside_float_range(self, sample_wav, tmp_path, snr):
+        result = run_seld("featurize", "--wav", sample_wav, "--out", tmp_path / "f.csv",
+                          f"--snr={snr}")
+        assert_clean_exit_one(result)
+        assert "snr_db" in result.stderr
 
     def test_infer_noise_file_without_noise_wav(self, trained_weights, sample_wav, tmp_path):
         result = run_seld("infer", "--weights", trained_weights, "--wav", sample_wav,

@@ -485,6 +485,13 @@ class TestAddNoise:
             )
             assert abs(measured - snr) < 0.1
 
+    @pytest.mark.parametrize("snr_db", [1e308, -1e308, 3100.0, -3300.0])
+    def test_snr_outside_float_range_rejected(self, snr_db):
+        # 10^(snr/10) overflows (a Python OverflowError) or underflows to 0
+        clip = tone(440, 8000, 0.25)
+        with pytest.raises(InputError, match="snr_db"):
+            dsp.add_noise(clip, dsp.AugmentSpec(kind="awgn", snr_db=snr_db, rng_seed=1))
+
     def test_noise_file_kind_tiles(self):
         clip = tone(440, 8000, 1.0, n_channels=2)
         rng = np.random.default_rng(21)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -23,6 +24,7 @@ from seldkit.errors import (
     SeldError,
     UnsupportedError,
 )
+from weight_stores import same_store
 
 TINY = dict(n_sed=2, n_feature_channels=2, n_bins=16, conv_filters=3,
             pool_schedule=(2, 2, 2), tcn_filters=6, tcn_blocks=2,
@@ -175,20 +177,35 @@ class TestConfigFile:
 class TestWeightStore:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        store = models.WeightStore()
-        store.put("a.w", rng.standard_normal((3, 4)).astype(np.float32))
-        store.put("a.b", rng.standard_normal(7).astype(np.float64))
-        store.put("scalar", np.array([1.5], np.float32))
+        store = {
+            "a.w": rng.standard_normal((3, 4)).astype(np.float32),
+            "a.b": rng.standard_normal(7).astype(np.float64),
+            "scalar": np.array([1.5], np.float32),
+            "signs": np.array([-0.0, 0.0, np.nan, -np.nan], np.float64),
+        }
         path = tmp_path / "w.seldw"
         models.save_weights(store, path)
         back = models.load_weights(path)
-        assert back == store
-        assert back.names() == store.names()
+        assert same_store(back, store)
+        for array in back.values():
+            assert array.flags.writeable and array.flags.c_contiguous
 
     def test_empty_store_roundtrips(self, tmp_path):
         path = tmp_path / "e.seldw"
-        models.save_weights(models.WeightStore(), path)
+        models.save_weights({}, path)
         assert len(models.load_weights(path)) == 0
+
+    def test_rank0_and_strided_arrays_save_as_rank1_c_order(self, tmp_path):
+        grid = np.arange(12, dtype=np.float32).reshape(3, 4)
+        path = tmp_path / "r.seldw"
+        models.save_weights({"s": np.array(2.5), "t": grid.T}, path)
+        assert same_store(models.load_weights(path),
+                          {"s": np.array([2.5]), "t": np.ascontiguousarray(grid.T)})
+
+    def test_rank0_entry_loads_as_rank1(self, tmp_path):
+        path = tmp_path / "r0.seldw"
+        path.write_bytes(crafted_weights_header(()) + struct.pack("<f", 3.0))
+        assert same_store(models.load_weights(path), {"w": np.array([3.0], np.float32)})
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.seldw"
@@ -197,10 +214,8 @@ class TestWeightStore:
             models.load_weights(path)
 
     def test_truncation(self, tmp_path):
-        store = models.WeightStore()
-        store.put("w", np.ones((8, 8), np.float32))
         path = tmp_path / "t.seldw"
-        models.save_weights(store, path)
+        models.save_weights({"w": np.ones((8, 8), np.float32)}, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-9])
         with pytest.raises(TruncatedFileError):
@@ -262,16 +277,34 @@ class TestWeightStore:
         for name, array in store.items():
             assert isinstance(name, str) and array.dtype in (np.float32, np.float64)
 
-    def test_duplicate_put_rejected(self):
-        store = models.WeightStore()
-        store.put("w", np.ones(2, np.float32))
-        with pytest.raises(FormatError):
-            store.put("w", np.ones(2, np.float32))
+    def test_duplicate_entry_rejected(self, tmp_path):
+        path = tmp_path / "dup.seldw"
+        entry = crafted_weights_header((2,))[len(models.WEIGHTS_MAGIC) + 4:] + b"\x00" * 8
+        path.write_bytes(models.WEIGHTS_MAGIC + struct.pack("<I", 2) + entry + entry)
+        with pytest.raises(FormatError, match="duplicate"):
+            models.load_weights(path)
 
-    def test_int_arrays_rejected(self):
-        store = models.WeightStore()
+    def test_int_arrays_rejected(self, tmp_path):
         with pytest.raises(FormatError):
-            store.put("w", np.ones(2, np.int32))
+            models.save_weights({"w": np.ones(2, np.int32)}, tmp_path / "i.seldw")
+
+    @pytest.mark.parametrize("name, array", [
+        ("w", np.ones(2, np.float16)),
+        ("n" * 65536, np.ones(2, np.float32)),
+        ("w", np.ones((0, 2 ** 32), np.float32)),
+        ("\ud800", np.ones(2, np.float32)),  # a lone surrogate has no UTF-8 form
+    ], ids=["float16", "long_name", "huge_dim", "surrogate_name"])
+    def test_unstorable_entry_rejected(self, tmp_path, name, array):
+        path = tmp_path / "u.seldw"
+        with pytest.raises(FormatError):
+            models.save_weights({"ok": np.ones(1, np.float32), name: array}, path)
+        assert not path.exists()
+
+    def test_longest_name_roundtrips(self, tmp_path):
+        path = tmp_path / "l.seldw"
+        store = {"n" * 65535: np.ones(2, np.float32)}
+        models.save_weights(store, path)
+        assert same_store(models.load_weights(path), store)
 
     def test_store_does_not_follow_training(self):
         cfg = tiny_cfg()
@@ -551,20 +584,31 @@ class TestPersistence:
         ("bn1.running_mean", np.zeros(2, np.float32)),
         ("features.mean", np.zeros(3, np.float32)),
         ("features.std", None),  # a mean without its std
+        ("conv0.w", np.full((3, 2, 3, 3), np.nan, np.float32)),
+        ("bn0.running_var", np.array([1.0, -1.0, 1.0], np.float32)),
+        ("block0.bn.running_var", np.full(6, np.inf, np.float32)),
+        ("features.std", np.zeros(2, np.float32)),
+        ("features.mean", np.array([0.0, -np.inf], np.float32)),
     ])
     def test_crafted_entry_rejected(self, name, value):
         cfg = tiny_cfg()
         model = models.build_model(cfg, "seldtcn", seed=0)
         model.set_feature_stats(np.zeros(cfg.n_feature_channels),
                                 np.ones(cfg.n_feature_channels))
-        store = models.WeightStore()
-        for entry, array in model.to_store().items():
-            if entry != name:
-                store.put(entry, array)
-            elif value is not None:
-                store.put(entry, value)
-        with pytest.raises((ConfigError, FormatError)):
+        store = {entry: array if entry != name else value
+                 for entry, array in model.to_store().items()}
+        if value is None:
+            del store[name]
+        with pytest.raises((ConfigError, FormatError), match=re.escape(name)):
             models.model_from_store(cfg, store)
+
+    def test_zero_running_var_accepted(self):
+        # a constant channel's float32 running variance decays to exactly 0
+        cfg = tiny_cfg()
+        store = models.build_model(cfg, "seldtcn", seed=0).to_store()
+        store["bn0.running_var"][:] = 0.0
+        model = models.model_from_store(cfg, store)
+        assert not model.bn_states["bn0"].running_var.any()
 
 
 class TestCounters:

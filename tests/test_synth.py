@@ -132,6 +132,15 @@ class TestSynthScene:
         with pytest.raises(InputError):
             synth.synth_scene(spec)
 
+    @pytest.mark.parametrize("duration_s, sample_rate_hz", [
+        (float("nan"), 8000), (float("inf"), 8000), (-1.0, 8000), (0.0, 8000),
+        (1.0, float("nan")), (1.0, float("inf")), (1.0, 0),
+    ])
+    def test_bad_duration_or_rate_rejected(self, duration_s, sample_rate_hz):
+        spec = synth.SceneSpec(duration_s=duration_s, sample_rate_hz=sample_rate_hz)
+        with pytest.raises(InputError, match="finite and positive"):
+            synth.synth_scene(spec)
+
     @pytest.mark.parametrize("kind", ["tone", "noise_burst", "chirp"])
     def test_source_kinds_render(self, kind):
         spec = synth.SceneSpec(
@@ -164,6 +173,16 @@ class TestMakeDataset:
         for csv_path in tmp_path.glob("*.csv"):
             for e in synth.read_annotation_csv(csv_path):
                 assert 0 <= e.class_id < 3
+
+    @pytest.mark.parametrize("duration_s, sample_rate_hz", [
+        (float("nan"), 8000), (float("inf"), 8000), (-1.0, 8000), (2.0, float("nan")),
+    ])
+    def test_bad_duration_or_rate_rejected_before_writing(self, tmp_path, duration_s,
+                                                          sample_rate_hz):
+        with pytest.raises(InputError, match="finite and positive"):
+            synth.make_dataset(5, 2, tmp_path / "ds", seed=1, duration_s=duration_s,
+                               sample_rate_hz=sample_rate_hz)
+        assert not (tmp_path / "ds").exists()
 
     def test_regeneration_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
