@@ -355,10 +355,21 @@ def add_noise(clip: AudioClip, spec: AugmentSpec, noise: AudioClip | None = None
     p_noise = np.mean(n ** 2)
     if p_noise <= 0.0:
         raise DegenerateInputError("noise power is zero")
-    gain = np.sqrt(p_signal / (p_noise * scale))
+    # p_noise * scale can underflow to 0 and the quotient overflow, although
+    # each factor is a positive float: both give a gain that is not finite
+    with np.errstate(divide="ignore", over="ignore"):
+        gain = np.sqrt(p_signal / (p_noise * scale))
+    if not gain < np.inf:
+        raise DegenerateInputError(
+            f"snr_db {spec.snr_db:g} needs a noise gain of {gain:g}, past the float range")
     n *= gain
     n += x
-    return AudioClip(samples=n.astype(np.float32), sample_rate_hz=clip.sample_rate_hz)
+    with np.errstate(over="ignore"):
+        samples = n.astype(np.float32)
+    if not np.isfinite(samples).all():
+        raise DegenerateInputError(
+            f"snr_db {spec.snr_db:g} scales the noise past the float32 range")
+    return AudioClip(samples=samples, sample_rate_hz=clip.sample_rate_hz)
 
 
 def make_reverb_ir(strength: float, sample_rate_hz: int, rng_seed: int = 0) -> np.ndarray:

@@ -368,13 +368,13 @@ class SeldModel:
                                         P[f"conv{i}.b"] * scale + shift, width)
             return x
         for i, width in enumerate(self.cfg.pool_schedule):
-            cols = [] if cache is not None else None
-            stats = [] if cache is not None else None
-            a = nn.conv2d(x, P[f"conv{i}.w"], P[f"conv{i}.b"], cols_out=cols)
-            n = nn.batchnorm(a, self.bn_states[f"bn{i}"], self.mode, stats_out=stats)
-            p = nn.maxpool_freq(n, width)
+            cols, stats, winners = ([], [], []) if cache is not None else (None, None, None)
+            # one name for the full-resolution stages, so each is freed once used
+            x = nn.conv2d(x, P[f"conv{i}.w"], P[f"conv{i}.b"], cols_out=cols)
+            x = nn.batchnorm(x, self.bn_states[f"bn{i}"], self.mode, stats_out=stats)
+            p = nn.maxpool_freq(x, width, winners_out=winners)
             if cache is not None:
-                cache["front"].append((n, p, cols[0], stats[0]))
+                cache["front"].append((p, cols[0], winners[0], stats[0]))
             x = nn.relu(p)
         return x
 
@@ -401,7 +401,13 @@ class SeldModel:
         return pred
 
     def forward_cached(self, features, dropout_rng=None):
-        """Train-mode forward pass that also returns the cache backward() needs."""
+        """Train-mode forward pass that also returns the cache backward() needs.
+
+        The cache holds only what backward reads: per front-end layer the
+        pooled output, the patch matrix, the pool winners and BN's (centred
+        input, var), but not the full-resolution conv or BN output. backward
+        consumes it.
+        """
         if self.mode != "train":
             raise StateError(
                 f"forward_cached needs train mode (model is in {self.mode!r} mode): "
@@ -462,12 +468,20 @@ class SeldModel:
     # -- backward (SELD-TCN only) --------------------------------------------
 
     def backward(self, cache, d_sed_z, d_doa_z):
-        """Gradients w.r.t. every parameter from head pre-activation grads."""
+        """Gradients w.r.t. every parameter from head pre-activation grads.
+
+        Consumes `cache`: each layer's record is popped when its gradients
+        are taken, so its saved tensors are freed as the pass goes (BN's
+        centred inputs are overwritten). A consumed cache raises StateError.
+        """
         if self.kind != "seldtcn":
             raise UnsupportedError("backward is only implemented for seldtcn")
+        if cache.get("heads") is None:
+            raise StateError("backward: the cache was already consumed; "
+                             "run forward_cached again")
         P = self.params
         grads = {}
-        q, sed_h, doa_h = cache["heads"]
+        q, sed_h, doa_h = cache.pop("heads")
 
         d_sed_h, grads["sed_out.w"], grads["sed_out.b"] = nn.dense_backward(
             d_sed_z, sed_h, P["sed_out.w"])
@@ -480,7 +494,7 @@ class SeldModel:
         d_q += d_q_doa
 
         # TCN output stack
-        h_t, skip_sum, v1, v2, v3 = cache["tcn"]
+        h_t, skip_sum, v1, v2, v3 = cache.pop("tcn")
         d_v4 = np.ascontiguousarray(d_q.T)
         d_v3, grads["out2.w"], grads["out2.b"] = nn.conv1x1_backward(d_v4, v3, P["out2.w"])
         d_v2 = nn.relu_backward(d_v3, v2)
@@ -491,7 +505,7 @@ class SeldModel:
         # so the residual gradient enters the chain as zero.
         d_u = np.zeros_like(d_skip)
         for k in reversed(range(self.cfg.tcn_blocks)):
-            x_in, bn_out, dropped, mask, bn_saved = cache["blocks"][k]
+            x_in, bn_out, dropped, mask, bn_saved = cache["blocks"].pop()
             d_s = d_skip + d_u
             d_dropped, grads[f"block{k}.skip.w"], grads[f"block{k}.skip.b"] = \
                 nn.conv1x1_backward(d_s, dropped, P[f"block{k}.skip.w"])
@@ -506,19 +520,19 @@ class SeldModel:
 
         d_ht, grads["proj.w"], grads["proj.b"] = nn.conv1x1_backward(d_u, h_t, P["proj.w"])
 
-        # undo reshape: (T, W) -> (C_f, T, F3)
+        # undo reshape: (T, W) -> (C_f, T, F3); one name for the front-end
+        # gradient, so each full-resolution stage is freed once used
         c_f = self.cfg.conv_filters
-        d_x3 = np.ascontiguousarray(
+        d = np.ascontiguousarray(
             d_ht.T.reshape(-1, c_f, self.cfg.temporal_in_width // c_f).transpose(1, 0, 2))
-
         for i in reversed(range(len(self.cfg.pool_schedule))):
-            n_out, p, cols, bn_saved = cache["front"][i]
-            d_p = nn.relu_backward(d_x3, p)
-            d_n = nn.maxpool_freq_backward(d_p, n_out, self.cfg.pool_schedule[i])
-            d_a, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = \
-                nn.batchnorm_backward(d_n, self.bn_states[f"bn{i}"], bn_saved)
-            d_x3, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = \
-                nn.conv2d_backward(d_a, cols, P[f"conv{i}.w"], need_dx=(i > 0))
+            p, cols, winners, bn_saved = cache["front"].pop()
+            d = nn.relu_backward(d, p)
+            d = nn.maxpool_freq_backward(d, winners, self.cfg.pool_schedule[i])
+            d, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = \
+                nn.batchnorm_backward(d, self.bn_states[f"bn{i}"], bn_saved)
+            d, grads[f"conv{i}.w"], grads[f"conv{i}.b"] = \
+                nn.conv2d_backward(d, cols, P[f"conv{i}.w"], need_dx=(i > 0))
         return grads
 
     # -- persistence ----------------------------------------------------------

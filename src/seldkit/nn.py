@@ -3,8 +3,9 @@
 Everything operates on plain numpy arrays. Convolutions run channel-first
 ((C, T, F) for 2-D, (C, T) for 1-D), dense layers frame-first (T, features).
 Backward functions take the upstream gradient plus what the forward saw or
-saved (conv2d's patch matrix, batchnorm's centred input and variance) and return
-gradients in the same order as the inputs. Compute dtype follows the input
+saved (conv2d's patch matrix, batchnorm's centred input and variance, the
+pool's window winners) and return gradients in the same order as the inputs;
+batchnorm_backward consumes what it was handed. Compute dtype follows the input
 dtype: float32 in training/inference, float64 for gradient checks.
 """
 
@@ -106,16 +107,27 @@ def conv2d_backward(dy, cols, w, need_dx=True):
 # Frequency max pooling
 # ---------------------------------------------------------------------------
 
-def _pool_max(y, width):
+def _pool_max(y, width, winners=None):
     """Max over non-overlapping windows of `width` along the last axis.
 
     Accumulates np.maximum over the strided views y[..., k::width] in place.
     max is exact, so the result equals
     y.reshape(..., F // width, width).max(axis=-1) bit for bit, without the
-    slow reduction over a short innermost axis.
+    slow reduction over a short innermost axis. Given a zeroed unsigned
+    `winners` array of the output's shape, it also records each window's
+    winning offset, first max winning ties as argmax does.
     """
     out = y[..., ::width].copy()
+    if winners is not None:
+        taken = np.empty(out.shape, dtype=bool)
+        step = np.empty_like(winners)
     for k in range(1, width):
+        if winners is not None:
+            # only a strictly greater value takes a window; k grows, so the
+            # max of the recorded offsets is the latest taker's
+            np.greater(y[..., k::width], out, out=taken)
+            np.multiply(taken.view(np.uint8), winners.dtype.type(k), out=step)
+            np.maximum(winners, step, out=winners)
         np.maximum(out, y[..., k::width], out=out)
     return out
 
@@ -159,21 +171,35 @@ def conv2d_relu_pool(x, w, b, width):
     return out
 
 
-def maxpool_freq(x, width):
-    """Max over non-overlapping frequency windows: (C, T, F) -> (C, T, F/width)."""
+def maxpool_freq(x, width, winners_out=None):
+    """Max over non-overlapping frequency windows: (C, T, F) -> (C, T, F/width).
+
+    Passing a list as winners_out stashes each window's winning offset there,
+    in the smallest unsigned dtype that holds width - 1 (first max wins on
+    ties); maxpool_freq_backward scatters from them, so the pre-pool input
+    need not be kept. The pooled values are the same either way.
+    """
     c, t, f = x.shape
     if f % width != 0:
         raise ShapeError(f"maxpool_freq: F={f} not divisible by width={width}")
-    return _pool_max(x, width)
+    if winners_out is None:
+        return _pool_max(x, width)
+    winners = np.zeros((c, t, f // width), dtype=np.min_scalar_type(width - 1))
+    winners_out.append(winners)
+    return _pool_max(x, width, winners)
 
 
-def maxpool_freq_backward(dy, x, width):
-    c, t, f = x.shape
-    xr = x.reshape(c, t, f // width, width)
-    idx = xr.argmax(axis=3)  # first max wins on ties
-    dxr = np.zeros_like(xr)
-    np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=3)
-    return dxr.reshape(c, t, f)
+def maxpool_freq_backward(dy, winners, width):
+    """(C, T, F/width) -> (C, T, F): each window's gradient goes to the offset
+    maxpool_freq stashed in winners_out, zeros everywhere else."""
+    if winners.shape != dy.shape:
+        raise ShapeError(f"maxpool_freq_backward: winners {winners.shape} != dy {dy.shape}")
+    c, t, f = dy.shape
+    dx = np.zeros((c, t, f * width), dtype=dy.dtype)
+    at = np.arange(0, dx.size, width, dtype=np.intp)
+    at += winners.reshape(-1)
+    dx.reshape(-1)[at] = dy.reshape(-1)
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +273,32 @@ def batchnorm_backward(dy, state: BatchNormState, saved):
     """Train-mode gradients w.r.t. (input, gamma, beta).
 
     `saved` is the (centred input, var) the forward pass stashed in stats_out.
+    The call consumes it: dx is computed in the centred input's memory and
+    returned, so besides it the call allocates one full-size buffer. `dy` is
+    left unchanged.
     """
     xc, var = saved
     axes = tuple(range(1, xc.ndim))
     shape = (-1,) + (1,) * (xc.ndim - 1)
     n = xc.size // xc.shape[0]
     inv_std = 1.0 / np.sqrt(var.reshape(shape) + BN_EPS)
-    xhat = xc * inv_std
+    gamma = state.gamma.astype(xc.dtype).reshape(shape)
+    xhat = np.multiply(xc, inv_std, out=xc)
 
-    dgamma = (dy * xhat).sum(axis=axes)
+    buf = dy * xhat
+    dgamma = buf.sum(axis=axes)
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * state.gamma.astype(xc.dtype).reshape(shape)
-    # dx = inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)), in place
-    dx = n * dxhat
-    dx -= dxhat.sum(axis=axes).reshape(shape)
+    # dx = inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)) with
+    # dxhat = dy * gamma, in the reference formula's operation order, which
+    # tests pin byte for byte. dxhat is formed twice so that one buffer serves.
+    dxhat = np.multiply(dy, gamma, out=buf)
+    sum_dxhat = dxhat.sum(axis=axes).reshape(shape)
     dxhat *= xhat
-    dx -= xhat * dxhat.sum(axis=axes).reshape(shape)
+    dx = np.multiply(xhat, dxhat.sum(axis=axes).reshape(shape), out=xhat)
+    dxhat = np.multiply(dy, gamma, out=buf)
+    dxhat *= n
+    dxhat -= sum_dxhat
+    np.subtract(dxhat, dx, out=dx)
     dx *= inv_std / n
     return dx, dgamma, dbeta
 

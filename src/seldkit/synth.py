@@ -120,9 +120,20 @@ def max_concurrent_events(events):
     return peak
 
 
+# A scene is written as a 4-channel float32 WAV (16 bytes a frame), whose
+# RIFF chunk sizes and byte rate are 32-bit fields.
+_WAV_FRAME_BYTES = 16
+_MAX_WAV_FRAMES = (2 ** 32 - 1 - 36) // _WAV_FRAME_BYTES
+_MAX_WAV_RATE_HZ = (2 ** 32 - 1) // _WAV_FRAME_BYTES
+
+
 def _check_duration_and_rate(duration_s, sample_rate_hz):
     if not (0 < duration_s < np.inf and 0 < sample_rate_hz < np.inf):
         raise InputError("scene duration and sample rate must be finite and positive")
+    if duration_s * sample_rate_hz > _MAX_WAV_FRAMES or sample_rate_hz > _MAX_WAV_RATE_HZ:
+        raise InputError(
+            f"a {duration_s:g} s scene at {sample_rate_hz:g} Hz does not fit a float32 WAV "
+            f"(at most {_MAX_WAV_FRAMES} frames and {_MAX_WAV_RATE_HZ} Hz)")
 
 
 def synth_scene(spec: SceneSpec):

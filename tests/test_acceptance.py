@@ -177,9 +177,17 @@ class TestCriterion1Gradients:
         baseline activation within theta of one are screened out.
         """
         model.mode = "train"
-        _, cache = model.forward_cached(x, dropout_rng=np.random.default_rng(999))
+        pool, pool_inputs = nn.maxpool_freq, []  # the BN outputs, which the cache drops
+
+        def recording_pool(x, width, **kwargs):
+            pool_inputs.append(x)
+            return pool(x, width, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "maxpool_freq", recording_pool)
+            _, cache = model.forward_cached(x, dropout_rng=np.random.default_rng(999))
         margin = np.inf
-        for (n, _, _, _), width in zip(cache["front"], model.cfg.pool_schedule):
+        for n, width in zip(pool_inputs, model.cfg.pool_schedule):
             margin = min(margin, float(np.min(np.abs(n))))
             # screened on n, not relu(n): when a window's top exceeds theta,
             # ReLU keeps it, and a negative runner-up only widens the gap

@@ -4,13 +4,13 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seldkit import cli, dsp, metrics, models, synth
+from traced_memory import traced_peak
 
 
 def run_cli(*argv):
@@ -126,6 +126,17 @@ class TestSynthCommand:
                      "--duration", duration, "--sr", 8000)
         assert rc == 1
         assert "finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("duration, sr", [("1e300", 16000), ("16777.3", 16000),
+                                              ("0.001", 300_000_000)])
+    def test_scene_past_wav_limits_exits_one(self, tmp_path, capsys, duration, sr):
+        # a 4-channel float32 WAV holds at most 268,435,453 frames, at a byte
+        # rate that fits 32 bits
+        rc = run_cli("synth", "--scenes", 5, "--classes", 2, "--out", tmp_path / "ds",
+                     "--duration", duration, "--sr", sr)
+        assert rc == 1
+        assert "does not fit a float32 WAV" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("value", ["-3", "abc"])
@@ -314,12 +325,8 @@ class TestFeaturizeCommand:
         wav = tmp_path / "a.wav"
         dsp.write_wav(wav, dsp.AudioClip(x, 16000), encoding="float32")
         feature_bytes = dsp.stft_features(dsp.read_wav(wav)).values.nbytes
-        tracemalloc.start()
-        try:
-            assert run_cli("featurize", "--wav", wav, "--out", tmp_path / "f.csv") == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, peak, _ = traced_peak(run_cli, "featurize", "--wav", wav, "--out", tmp_path / "f.csv")
+        assert rc == 0
         assert peak < 8 * feature_bytes
 
     def test_frame_count_in_csv(self, sample_wav, tmp_path):

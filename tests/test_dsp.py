@@ -1,7 +1,6 @@
 """Tests for audio I/O, resampling, STFT features, and augmentation."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from seldkit.errors import (
     TruncatedFileError,
     UnsupportedError,
 )
+from traced_memory import traced_peak
 
 
 def tone(freq_hz, sr, dur_s, n_channels=1, amp=0.5):
@@ -492,6 +492,20 @@ class TestAddNoise:
         with pytest.raises(InputError, match="snr_db"):
             dsp.add_noise(clip, dsp.AugmentSpec(kind="awgn", snr_db=snr_db, rng_seed=1))
 
+    def test_noise_power_times_scale_underflow_rejected(self):
+        # 1e-60 * 1e-299 underflows to 0, although each factor is a positive float
+        clip = tone(440, 8000, 0.25)
+        noise = dsp.AudioClip(np.full((1, 2000), 1e-30, np.float32), 8000)
+        with pytest.raises(DegenerateInputError, match="gain"):
+            dsp.add_noise(clip, dsp.AugmentSpec(kind="noise_file", snr_db=-2990.0), noise=noise)
+
+    @pytest.mark.parametrize("snr_db", [-800.0, -3000.0])
+    def test_noise_past_float32_range_rejected(self, snr_db):
+        # a finite gain whose noisy samples do not fit the float32 output
+        clip = tone(440, 8000, 0.25)
+        with pytest.raises(DegenerateInputError, match="float32"):
+            dsp.add_noise(clip, dsp.AugmentSpec(kind="awgn", snr_db=snr_db, rng_seed=1))
+
     def test_noise_file_kind_tiles(self):
         clip = tone(440, 8000, 1.0, n_channels=2)
         rng = np.random.default_rng(21)
@@ -608,13 +622,7 @@ class TestReverb:
         rng = np.random.default_rng(44)
         clip = dsp.AudioClip(rng.uniform(-0.5, 0.5, (4, 480000)).astype(np.float32), 16000)
         spec = dsp.AugmentSpec(kind="reverb", reverb_strength=50.0)
-        tracemalloc.start()
-        try:
-            dsp.apply_reverb(clip, spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * clip.samples.size * 8
+        assert traced_peak(dsp.apply_reverb, clip, spec).peak < 3 * clip.samples.size * 8
 
     def test_strength_zero_is_identity(self):
         clip = tone(440, 16000, 0.5, n_channels=4)

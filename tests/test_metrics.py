@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +16,7 @@ import reference_csv
 from seldkit import metrics, synth
 from seldkit.errors import DataError, FormatError, InputError, NumericError, SeldError
 from oracle_metrics import oracle_doa_error, oracle_segment_er_f1, random_metric_case
+from traced_memory import traced_peak
 
 
 class TestBinarize:
@@ -343,12 +343,7 @@ class TestGroupedDoaMatching:
         n = 20000
         pred, ref = shaped_frames(rng, zip(rng.integers(0, 7, n), rng.integers(0, 4, n)),
                                   p_none=0.05)
-        tracemalloc.start()
-        try:
-            metrics.doa_error_accumulate(pred, ref)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(metrics.doa_error_accumulate, pred, ref).peak
         print(f"doa_error_accumulate peak over {n} frames: {peak / 2 ** 20:.2f} MiB")
         assert peak < 1.25 * 2 ** 20  # about twice the measured 0.64 MiB
 
@@ -639,15 +634,14 @@ class TestCsvInterchange:
     def test_hostile_rows_rejected_quickly(self, tmp_path, body, error):
         path = tmp_path / "hostile.csv"
         path.write_bytes(b"frame_index,class_id,x,y,z\n" + body)
-        tracemalloc.start()
-        t0 = time.perf_counter()
-        try:
+
+        def read():
+            t0 = time.perf_counter()
             with pytest.raises(error):
                 metrics.read_prediction_csv(path)
-            elapsed = time.perf_counter() - t0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return time.perf_counter() - t0
+
+        elapsed, peak, _ = traced_peak(read)
         assert elapsed < 1.0
         assert peak < 1 << 20
 
@@ -850,12 +844,7 @@ class TestLoadtxtReader:
         assert len(lines) > 55_000
         path = tmp_path / "dense.csv"
         path.write_text(",".join(metrics.CSV_HEADER) + "\n" + "\n".join(lines) + "\n")
-        tracemalloc.start()
-        try:
-            result = metrics.read_prediction_csv(path)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak, retained = traced_peak(metrics.read_prediction_csv, path)
         assert result[1] == 18_600
         assert peak < 1.75 * retained
 

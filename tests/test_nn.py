@@ -57,6 +57,22 @@ def ref_maxpool_freq(x, width):
     return x.reshape(c, t, f // width, width).max(axis=3)
 
 
+def ref_maxpool_freq_backward(dy, x, width):
+    """Pool backward that recomputes each window's argmax from the pool input."""
+    c, t, f = x.shape
+    xr = x.reshape(c, t, f // width, width)
+    idx = xr.argmax(axis=3)  # first max wins on ties
+    dxr = np.zeros_like(xr)
+    np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=3)
+    return dxr.reshape(c, t, f)
+
+
+def pool_with_winners(x, width):
+    """maxpool_freq with its winners stashed: (pooled, winners)."""
+    winners = []
+    return nn.maxpool_freq(x, width, winners_out=winners), winners[0]
+
+
 def ref_conv2d_relu_pool(x, w, b, width):
     """The fused kernel as a whole-input im2col, one gemm, the reduction pool,
     then bias and ReLU on the pooled tensor."""
@@ -207,8 +223,45 @@ class TestMaxpoolFreq:
     def test_backward_routes_to_argmax(self):
         x = np.array([[[1.0, 5.0, 2.0, 4.0]]])
         dy = np.array([[[3.0, 7.0]]])
-        dx = nn.maxpool_freq_backward(dy, x, 2)
+        p, winners = pool_with_winners(x, 2)
+        assert np.array_equal(p, [[[5.0, 4.0]]])
+        assert winners.tolist() == [[[1, 1]]]
+        dx = nn.maxpool_freq_backward(dy, winners, 2)
         assert np.array_equal(dx, [[[0.0, 3.0, 0.0, 7.0]]])
+
+    @pytest.mark.parametrize("width, dtype", [(1, np.uint8), (2, np.uint8), (8, np.uint8),
+                                              (256, np.uint8), (512, np.uint16)])
+    def test_winners_in_smallest_unsigned_dtype(self, width, dtype):
+        x = np.random.default_rng(width).standard_normal((2, 3, 2 * width)).astype(np.float32)
+        p, winners = pool_with_winners(x, width)
+        assert winners.dtype == dtype and winners.shape == p.shape
+        assert np.array_equal(winners, x.reshape(2, 3, 2, width).argmax(axis=3))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 2, 8])
+    def test_winner_scatter_matches_argmax_backward(self, width, dtype):
+        """Scattering from the stashed winners equals recomputing the argmax,
+        byte for byte, ties included: the first max of a window wins."""
+        rng = np.random.default_rng(20 + width)
+        x = rng.standard_normal((3, 7, 32)).astype(dtype)
+        ties = rng.integers(-2, 3, size=(3, 7, 32)).astype(dtype)
+        signed_zeros = np.where(rng.random((3, 7, 32)) < 0.5, -0.0, 0.0).astype(dtype)
+        flat = np.full((3, 7, 32), 0.5, dtype)  # every window all-equal
+        for arr in (x, ties, signed_zeros, flat, -np.abs(x)):
+            dy = rng.standard_normal((3, 7, 32 // width)).astype(dtype)
+            dy[0, 0] = -0.0
+            p, winners = pool_with_winners(arr, width)
+            assert p.tobytes() == nn.maxpool_freq(arr, width).tobytes()
+            got = nn.maxpool_freq_backward(dy, winners, width)
+            ref = ref_maxpool_freq_backward(dy, arr, width)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        _, winners = pool_with_winners(flat, width)
+        assert not winners.any()  # an all-equal window routes to offset 0
+
+    def test_backward_rejects_mismatched_winners(self):
+        _, winners = pool_with_winners(np.zeros((1, 2, 8), np.float32), 2)
+        with pytest.raises(ShapeError):
+            nn.maxpool_freq_backward(np.zeros((1, 2, 2), np.float32), winners, 4)
 
     @pytest.mark.parametrize("width", [1, 2, 8])
     def test_pool_then_relu_matches_relu_then_pool(self, width):
@@ -222,10 +275,10 @@ class TestMaxpoolFreq:
         for n in (x, ties, negative, zeros, -ties):
             dy = rng.standard_normal((3, 7, 32 // width)).astype(np.float32)
             r = nn.relu(n)
-            p = nn.maxpool_freq(n, width)
+            p, winners = pool_with_winners(n, width)
             assert np.array_equal(nn.relu(p), nn.maxpool_freq(r, width))
-            new = nn.maxpool_freq_backward(nn.relu_backward(dy, p), n, width)
-            old = nn.relu_backward(nn.maxpool_freq_backward(dy, r, width), n)
+            new = nn.maxpool_freq_backward(nn.relu_backward(dy, p), winners, width)
+            old = nn.relu_backward(ref_maxpool_freq_backward(dy, r, width), n)
             assert new.tobytes() == old.tobytes()
 
 
@@ -386,6 +439,19 @@ class TestBatchnorm:
         ref = ref_batchnorm_backward(dy, x, ref_state, ref_stats)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 32, 16), (4, 64)])
+    def test_backward_consumes_saved_and_keeps_dy(self, shape):
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal(shape).astype(np.float32)
+        dy = rng.standard_normal(shape).astype(np.float32)
+        dy_before = dy.copy()
+        state = nn.BatchNormState.create(shape[0])
+        saved = []
+        nn.batchnorm(x, state, "train", stats_out=saved)
+        dx, _, _ = nn.batchnorm_backward(dy, state, saved[0])
+        assert dy.tobytes() == dy_before.tobytes()
+        assert np.shares_memory(dx, saved[0][0])  # dx is built in the centred input
 
     def test_gradcheck(self):
         rng = np.random.default_rng(6)

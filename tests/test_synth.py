@@ -141,6 +141,16 @@ class TestSynthScene:
         with pytest.raises(InputError, match="finite and positive"):
             synth.synth_scene(spec)
 
+    def test_wav_limits(self):
+        # checked before anything is rendered; the limits themselves pass
+        synth._check_duration_and_rate(float(synth._MAX_WAV_FRAMES), 1)
+        synth._check_duration_and_rate(1e-6, synth._MAX_WAV_RATE_HZ)
+        for duration_s, sample_rate_hz in [(synth._MAX_WAV_FRAMES + 1.0, 1),
+                                           (1e300, 16000), (1e-6, synth._MAX_WAV_RATE_HZ + 1)]:
+            spec = synth.SceneSpec(duration_s=duration_s, sample_rate_hz=sample_rate_hz)
+            with pytest.raises(InputError, match="does not fit a float32 WAV"):
+                synth.synth_scene(spec)
+
     @pytest.mark.parametrize("kind", ["tone", "noise_burst", "chirp"])
     def test_source_kinds_render(self, kind):
         spec = synth.SceneSpec(
