@@ -105,17 +105,15 @@ def _fmt(value, suffix=""):
 def cmd_eval(args):
     if args.sr < 1 or args.hop < 1:
         raise InputError("--sr and --hop must be at least 1")
-    pred_ann, n_pred = metrics.read_prediction_csv(args.pred)
-    ref_ann, n_ref = metrics.read_prediction_csv(args.ref)
-    n_frames = max(n_pred, n_ref)
-    pred_ann += [dict() for _ in range(n_frames - n_pred)]
-    ref_ann += [dict() for _ in range(n_frames - n_ref)]
-    n_classes = 1 + max(
-        (c for ann in (pred_ann, ref_ann) for frame in ann for c in frame),
-        default=0,
-    )
     fps = round(args.sr / args.hop)
-    report = metrics.evaluate_annotations(pred_ann, ref_ann, n_classes, fps)
+    if fps < 1:
+        raise InputError(f"--sr and --hop give round({args.sr} / {args.hop}) = 0 frames "
+                         f"per segment; the hop must be under twice the rate")
+    pred = metrics.read_prediction_rows(args.pred)
+    ref = metrics.read_prediction_rows(args.ref)
+    n_frames = max(pred.n_frames, ref.n_frames)
+    n_classes = 1 + int(max(pred.class_id.max(initial=0), ref.class_id.max(initial=0)))
+    report = metrics.evaluate_rows(pred, ref, n_classes, fps)
 
     if report.er is None:
         print("warning: reference contains no events; ER is undefined", file=sys.stderr)
@@ -271,11 +269,8 @@ def cmd_infer(args):
     if args.sr is not None and args.sr != sample_rate:
         raise InputError(f"--sr {args.sr} contradicts sample_rate_hz {sample_rate} "
                          f"of {args.weights}.cfg")
-    store = models.load_weights(args.weights)
-    model = models.model_from_store(cfg, store)
-    clip = _load_augmented(args, sample_rate)
-    feats = dsp.stft_features(clip)
-    pred = model.forward(feats)
+    model = models.model_from_store(cfg, models.load_weights(args.weights))
+    pred = model.forward(dsp.stft_features(_load_augmented(args, sample_rate)))
     activity = metrics.binarize_sed(pred.sed)
     ann = metrics.doa_vectors_from_prediction(activity, pred.doa)
     metrics.write_prediction_csv(args.out, ann)

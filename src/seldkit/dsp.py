@@ -334,14 +334,13 @@ def add_noise(clip: AudioClip, spec: AugmentSpec, noise: AudioClip | None = None
         scale = np.inf
     if not 0.0 < scale < np.inf:
         raise InputError(f"snr_db {spec.snr_db:g} is out of range: 10^(snr_db/10) = {scale:g}")
-    x = clip.samples.astype(np.float64)
-    p_signal = np.mean(x ** 2)
+    p_signal = np.mean(np.square(clip.samples, dtype=np.float64))
     if p_signal <= 0.0:
         raise DegenerateInputError("signal power is zero; SNR is undefined")
 
     if spec.kind == "awgn":
         rng = np.random.default_rng(spec.rng_seed)
-        n = _box_muller(rng, x.size).reshape(x.shape)
+        n = _box_muller(rng, clip.samples.size).reshape(clip.samples.shape)
     else:
         if noise is None:
             raise InputError("noise_file kind requires a noise clip")
@@ -363,7 +362,7 @@ def add_noise(clip: AudioClip, spec: AugmentSpec, noise: AudioClip | None = None
         raise DegenerateInputError(
             f"snr_db {spec.snr_db:g} needs a noise gain of {gain:g}, past the float range")
     n *= gain
-    n += x
+    n += clip.samples  # float32 into float64, exact: no float64 copy of the clip
     with np.errstate(over="ignore"):
         samples = n.astype(np.float32)
     if not np.isfinite(samples).all():

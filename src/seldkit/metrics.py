@@ -5,9 +5,13 @@ and F1 for detection, frame recall (FR, percent of frames whose predicted
 event count matches the reference) and DOA error (DE, mean angular distance
 in degrees over optimally matched event pairs) for localization.
 
-Frame annotations are lists with one dict per frame mapping class_id to a
-unit DOA vector, or to None for events whose direction is unusable (these
-still count toward frame cardinality but never enter angle matching).
+An annotation table has two forms. `EventRows` holds one row per (frame,
+class) event as flat arrays; `read_prediction_rows` reads it and
+`evaluate_rows` scores two of them, which is what `seld eval` does. Frame
+annotations are lists with one dict per frame mapping class_id to a unit DOA
+vector, or to None for events whose direction is unusable (these still count
+toward frame cardinality but never enter angle matching); the functions that
+take them convert to the same kernels.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DataError, FormatError, InputError, NumericError
 
 CSV_HEADER = ["frame_index", "class_id", "x", "y", "z"]
-# The reader allocates one entry per frame up to the largest frame index, so
-# it bounds both indices while parsing. 2**23 frames is about 37 h at 62.5
+# read_prediction_csv allocates one dict per frame up to the largest frame
+# index, so the reader bounds both indices while parsing. 2**23 frames is about 37 h at 62.5
 # frames/s (16 kHz, hop 256); SELD class sets have tens of classes.
 MAX_FRAMES = 2 ** 23
 MAX_CLASSES = 1024
@@ -35,6 +39,80 @@ _MAX_ACTIVITY_CELLS = 2 ** 28
 def binarize_sed(sed, threshold=0.5):
     """Activity mask from sigmoid outputs: active iff sed > threshold."""
     return np.asarray(sed) > threshold
+
+
+# ---------------------------------------------------------------------------
+# Event tables and frame annotations
+# ---------------------------------------------------------------------------
+
+@dataclass
+class EventRows:
+    """One annotation table as flat arrays, one row per (frame, class) event.
+
+    Rows run by frame and, within a frame, in the order that frame's dict
+    from read_prediction_csv iterates. `doa` is float64 (N, 3): a unit
+    vector where `usable`, elsewhere the raw triple of a direction without
+    a positive length. `n_frames` is the number of frames the table spans.
+    """
+
+    frame: np.ndarray     # (N,) int
+    class_id: np.ndarray  # (N,) int
+    doa: np.ndarray       # (N, 3) float64
+    usable: np.ndarray    # (N,) bool
+    n_frames: int
+
+
+def _row_norms(v):
+    """Euclidean length of each row of v; an overflow gives inf."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(v, axis=1)
+
+
+def _event_rows(n_frames, frame, class_id, v, norm):
+    """EventRows from (frame, class, xyz) rows and their norms.
+
+    v is float64 (N, 3) and is scaled to unit length in place where its norm
+    is positive; other rows (norm zero or NaN) are not usable.
+    """
+    usable = norm > 0.0
+    np.divide(v, norm[:, None], out=v, where=usable[:, None])
+    return EventRows(frame, class_id, v, usable, n_frames)
+
+
+def _annotations(rows):
+    """Frame annotations of an event table: one dict per frame."""
+    ann = [dict() for _ in range(rows.n_frames)]
+    for t, c, u, ok in zip(rows.frame.tolist(), rows.class_id.tolist(), rows.doa,
+                           rows.usable.tolist()):
+        ann[t][c] = u if ok else None
+    return ann
+
+
+def _rows_from_annotations(ann):
+    """The event table of frame annotations; vectors are taken as they are."""
+    frame = np.repeat(np.arange(len(ann)), np.fromiter(map(len, ann), np.intp, len(ann)))
+    class_id = np.fromiter(chain.from_iterable(ann), np.intp, len(frame))
+    vecs = [v for f in ann for v in f.values()]
+    usable = np.fromiter((v is not None for v in vecs), bool, len(vecs))
+    doa = np.zeros((len(vecs), 3))
+    doa[usable] = np.array([v for v in vecs if v is not None], np.float64).reshape(-1, 3)
+    return EventRows(frame, class_id, doa, usable, len(ann))
+
+
+def _activity(frame, class_id, n_frames, n_classes):
+    """Boolean (n_frames, n_classes) activity of the events at (frame, class_id).
+
+    The cell limit and the class range are checked before it is allocated.
+    """
+    if n_frames * n_classes > _MAX_ACTIVITY_CELLS:
+        raise DataError(f"{n_frames} frames x {n_classes} classes exceeds the limit of "
+                        f"{_MAX_ACTIVITY_CELLS} activity cells")
+    out_of_range = np.flatnonzero((class_id < 0) | (class_id >= n_classes))
+    if out_of_range.size:
+        raise DataError(f"class_id {class_id[out_of_range[0]]} out of range (n_classes={n_classes})")
+    act = np.zeros((n_frames, n_classes), dtype=bool)
+    act[frame, class_id] = True
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +189,33 @@ def segment_counts(pred_activity, ref_activity, frames_per_segment) -> SedCounts
 # Frame recall and DOA error
 # ---------------------------------------------------------------------------
 
+def _runs(index):
+    """The distinct values of an ascending index array, and how often each occurs."""
+    starts = np.flatnonzero(np.diff(index, prepend=-1))
+    return index[starts], np.diff(starts, append=len(index))
+
+
+def _frame_recall(pred_frame, ref_frame, n_frames):
+    """FR from the ascending frame index of every event on each side.
+
+    Only frames that hold events are visited: a frame without events on
+    either side is a hit.
+    """
+    if n_frames == 0:
+        raise InputError("cannot compute frame recall over zero frames")
+    pf, pc = _runs(pred_frame)
+    rf, rc = _runs(ref_frame)
+    both, ip, ir = np.intersect1d(pf, rf, assume_unique=True, return_indices=True)
+    misses = len(pf) + len(rf) - len(both) - int(np.count_nonzero(pc[ip] == rc[ir]))
+    return 100.0 * (n_frames - misses) / n_frames
+
+
 def frame_recall(pred_ann, ref_ann):
     """Percent of frames whose predicted event count equals the reference count."""
     if len(pred_ann) != len(ref_ann):
         raise InputError(f"frame counts differ: {len(pred_ann)} vs {len(ref_ann)}")
-    if len(ref_ann) == 0:
-        raise InputError("cannot compute frame recall over zero frames")
-    hits = sum(1 for p, r in zip(pred_ann, ref_ann) if len(p) == len(r))
-    return 100.0 * hits / len(ref_ann)
+    return _frame_recall(_rows_from_annotations(pred_ann).frame,
+                         _rows_from_annotations(ref_ann).frame, len(ref_ann))
 
 
 def angular_distance_deg(u, v):
@@ -140,36 +237,28 @@ def angular_distance_deg(u, v):
     return np.degrees(np.arctan2(cross, u0 * v0 + u1 * v1 + u2 * v2))
 
 
-# Frames gathered per step of doa_error_accumulate: bounds its transient
-# arrays (vectors, offsets, angle stacks) whatever the input length.
+# Frames matched per step: bounds doa_error_accumulate's transient arrays
+# (vectors, offsets, angle stacks) whatever the input length, and fixes the
+# order in which every DOA total is summed.
 _DOA_BLOCK = 2048
 
 
-def _usable_vectors(block):
-    """Per-frame counts and the flat (sum, 3) float64 stack of non-None vectors."""
-    vecs = [[v for v in frame.values() if v is not None] for frame in block]
-    counts = np.fromiter(map(len, vecs), np.intp, len(vecs))
-    flat = [v for frame in vecs for v in frame]
-    return counts, np.array(flat, dtype=np.float64).reshape(len(flat), 3)
-
-
-def _match_block(pred_block, ref_block):
+def _match_block(n_pred, pred, n_ref, ref):
     """Total matched angle and pair count over one block of frames.
 
-    Frames are grouped by (|P|, |R|) and each group's (G, |P|, |R|) angle
-    stack comes from one angular_distance_deg call. With one event on either
-    side the optimum is the smallest angle; only frames of 2x2 or larger go
-    to the assignment solver, one frame at a time.
+    Each side gives its per-frame vector counts, each at least 1, and its
+    flat (sum, 3) stack of vectors, frame by frame. Frames are grouped by
+    (|P|, |R|) and each group's (G, |P|, |R|) angle stack comes from one
+    angular_distance_deg call. With one event on either side the optimum is
+    the smallest angle; only frames of 2x2 or larger go to the assignment
+    solver, one frame at a time.
     """
-    n_pred, pred = _usable_vectors(pred_block)
-    n_ref, ref = _usable_vectors(ref_block)
     start_pred = np.cumsum(n_pred) - n_pred
     start_ref = np.cumsum(n_ref) - n_ref
     shapes = n_pred * (1 + n_ref.max(initial=0)) + n_ref  # one key per (|P|, |R|)
-    matched = (n_pred > 0) & (n_ref > 0)
     total = 0.0
     pairs = 0
-    for shape in np.unique(shapes[matched]).tolist():
+    for shape in np.unique(shapes).tolist():
         frames = np.flatnonzero(shapes == shape)
         p, r = int(n_pred[frames[0]]), int(n_ref[frames[0]])
         u = pred[start_pred[frames, None] + np.arange(p)]
@@ -183,6 +272,37 @@ def _match_block(pred_block, ref_block):
             rows, cols = np.array([linear_sum_assignment(a) for a in angles]).transpose(1, 0, 2)
             total += angles[np.arange(len(frames))[:, None], rows, cols].sum()
         pairs += len(frames) * min(p, r)
+    return total, pairs
+
+
+def _usable_at(rows, frames):
+    """Per-frame counts and flat (sum, 3) stack of the usable vectors at `frames`."""
+    keep = rows.usable & np.isin(rows.frame, frames)
+    return _runs(rows.frame[keep])[1], rows.doa[keep]
+
+
+def _doa_rows(pred, ref):
+    """Total matched angle and pair count of two event tables.
+
+    Only frames with usable vectors on both sides can match. They are taken
+    in the _DOA_BLOCK frame blocks that doa_error_accumulate walks, and a
+    block without them adds nothing, so the total sums in the same order.
+    """
+    both = np.intersect1d(_runs(pred.frame[pred.usable])[0], _runs(ref.frame[ref.usable])[0],
+                          assume_unique=True)
+    n_pred, pred_v = _usable_at(pred, both)
+    n_ref, ref_v = _usable_at(ref, both)
+    at_pred = np.concatenate(([0], np.cumsum(n_pred)))
+    at_ref = np.concatenate(([0], np.cumsum(n_ref)))
+    total = 0.0
+    pairs = 0
+    j = 0
+    for size in _runs(both // _DOA_BLOCK)[1].tolist():
+        i, j = j, j + size
+        angle, n = _match_block(n_pred[i:j], pred_v[at_pred[i]:at_pred[j]],
+                                n_ref[i:j], ref_v[at_ref[i]:at_ref[j]])
+        total += angle
+        pairs += n
     return total, pairs
 
 
@@ -200,8 +320,8 @@ def doa_error_accumulate(pred_ann, ref_ann):
     total = 0.0
     pairs = 0
     for start in range(0, len(ref_ann), _DOA_BLOCK):
-        angle, n = _match_block(pred_ann[start:start + _DOA_BLOCK],
-                                ref_ann[start:start + _DOA_BLOCK])
+        angle, n = _doa_rows(_rows_from_annotations(pred_ann[start:start + _DOA_BLOCK]),
+                             _rows_from_annotations(ref_ann[start:start + _DOA_BLOCK]))
         total += angle
         pairs += n
     return total, pairs
@@ -213,23 +333,6 @@ def doa_error(pred_ann, ref_ann):
     if pairs == 0:
         return None
     return total / pairs
-
-
-def _annotations_from_rows(n_frames, frames, classes, v):
-    """Frame annotations from (frame, class, xyz) rows; v is float64 (N, 3).
-
-    Each xyz is scaled to unit length in place, or becomes None where its
-    norm is not positive (zero or NaN); a later row for the same (frame,
-    class) replaces an earlier one.
-    """
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v, axis=1)
-    positive = norm > 0.0
-    np.divide(v, norm[:, None], out=v, where=positive[:, None])
-    ann = [dict() for _ in range(n_frames)]
-    for t, c, u, ok in zip(frames, classes, v, positive.tolist()):
-        ann[t][c] = u if ok else None
-    return ann
 
 
 def doa_vectors_from_prediction(sed_activity, doa):
@@ -247,23 +350,13 @@ def doa_vectors_from_prediction(sed_activity, doa):
         raise InputError(f"doa shape {doa.shape} does not match activity {activity.shape}")
     t, c = np.nonzero(activity)
     v = doa.reshape(t_len, n_classes, 3)[t, c]
-    return _annotations_from_rows(t_len, t.tolist(), c.tolist(), v)
+    return _annotations(_event_rows(t_len, t, c, v, _row_norms(v)))
 
 
 def annotation_activity(ann, n_classes):
     """Boolean (T, n_classes) activity implied by frame annotations (at most 2**28 cells)."""
-    if len(ann) * n_classes > _MAX_ACTIVITY_CELLS:
-        raise DataError(f"{len(ann)} frames x {n_classes} classes exceeds the limit of "
-                        f"{_MAX_ACTIVITY_CELLS} activity cells")
-    lengths = np.fromiter(map(len, ann), np.intp, len(ann))
-    frames = np.repeat(np.arange(len(ann)), lengths)
-    classes = np.fromiter(chain.from_iterable(ann), np.intp, len(frames))
-    out_of_range = np.flatnonzero((classes < 0) | (classes >= n_classes))
-    if out_of_range.size:
-        raise DataError(f"class_id {classes[out_of_range[0]]} out of range (n_classes={n_classes})")
-    act = np.zeros((len(ann), n_classes), dtype=bool)
-    act[frames, classes] = True
-    return act
+    rows = _rows_from_annotations(ann)
+    return _activity(rows.frame, rows.class_id, rows.n_frames, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +375,34 @@ class EvalReport:
     n_matched_pairs: int
 
 
-def evaluate_annotations(pred_ann, ref_ann, n_classes, frames_per_segment) -> EvalReport:
-    """Compute the full metric report from two frame annotation lists."""
-    pred_act = annotation_activity(pred_ann, n_classes)
-    ref_act = annotation_activity(ref_ann, n_classes)
-    counts = segment_counts(pred_act, ref_act, frames_per_segment)
-    total, pairs = doa_error_accumulate(pred_ann, ref_ann)
+def evaluate_rows(pred, ref, n_classes, frames_per_segment) -> EvalReport:
+    """Compute the full metric report from two event tables.
+
+    Both are scored over the longer table's frames; the other's missing
+    frames are empty. The activity limits are checked before anything of
+    size frames x classes is allocated.
+    """
+    n_frames = max(pred.n_frames, ref.n_frames)
+    counts = segment_counts(_activity(pred.frame, pred.class_id, n_frames, n_classes),
+                            _activity(ref.frame, ref.class_id, n_frames, n_classes),
+                            frames_per_segment)
+    total, pairs = _doa_rows(pred, ref)
     return EvalReport(
         er=counts.er,
         f1=counts.f1,
-        fr=frame_recall(pred_ann, ref_ann),
+        fr=_frame_recall(pred.frame, ref.frame, n_frames),
         de=total / pairs if pairs else None,
         counts=counts,
         n_matched_pairs=pairs,
     )
+
+
+def evaluate_annotations(pred_ann, ref_ann, n_classes, frames_per_segment) -> EvalReport:
+    """Compute the full metric report from two frame annotation lists of one length."""
+    if len(pred_ann) != len(ref_ann):
+        raise InputError(f"frame counts differ: {len(pred_ann)} vs {len(ref_ann)}")
+    return evaluate_rows(_rows_from_annotations(pred_ann), _rows_from_annotations(ref_ann),
+                         n_classes, frames_per_segment)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +465,31 @@ def _csv_rows(path, header, dtype):
 _PREDICTION_ROW = np.dtype([("t", "<i8"), ("c", "<i8"), ("v", "<f8", 3)])
 
 
-def read_prediction_csv(path):
-    """Read interchange CSV into frame annotations.
+def _kept_rows(t, c):
+    """Indices of the rows a frame dict keeps, in its iteration order.
 
-    Returns (annotations, n_frames); the list spans up to the largest frame
-    index present. Zero vectors become None entries (direction unusable);
-    all other vectors are normalized.
+    Each (frame, class) keeps its last row, placed by frame and then by the
+    key's first row, as assigning the rows to one dict per frame in file
+    order does.
+    """
+    key = t * MAX_CLASSES + c  # one key per (frame, class): c < MAX_CLASSES
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), bool)
+    first[1:] = key[1:] != key[:-1]
+    last = np.ones(len(key), bool)
+    last[:-1] = first[1:]
+    first_row = order[first]
+    return order[last][np.lexsort((first_row, t[first_row]))]
+
+
+def read_prediction_rows(path) -> EventRows:
+    """Read interchange CSV into an event table.
+
+    n_frames is one past the largest frame index present. Zero vectors are
+    not usable (direction unknown); all other vectors are normalized. A
+    repeated (frame, class) keeps its first row's place and its last row's
+    vector.
     A cell that is not a plain ASCII number is a FormatError: quoted cells,
     digit separators such as 1_0, non-ASCII digits and any non-ASCII byte.
     Negative indices, indices beyond MAX_FRAMES or MAX_CLASSES and vectors
@@ -379,11 +505,23 @@ def read_prediction_csv(path):
         i = over[0]
         raise DataError(f"{path}: frame index {t[i]} or class id {c[i]} exceeds "
                         f"the limit of {MAX_FRAMES} frames, {MAX_CLASSES} classes")
-    v = np.ascontiguousarray(rows["v"])
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(np.linalg.norm(v, axis=1)))
+    v = rows["v"]
+    norm = _row_norms(v)
+    bad = np.flatnonzero(~np.isfinite(norm))
     if bad.size:
         i = bad[0]
         raise DataError(f"{path}: direction of frame {t[i]}, class {c[i]} has no finite length")
     n_frames = int(t.max()) + 1 if t.size else 0
-    return _annotations_from_rows(n_frames, t.tolist(), c.tolist(), v), n_frames
+    keep = _kept_rows(t, c)
+    return _event_rows(n_frames, t[keep], c[keep], v[keep], norm[keep])
+
+
+def read_prediction_csv(path):
+    """Read interchange CSV into frame annotations.
+
+    Returns (annotations, n_frames): one dict per frame up to the largest
+    frame index present, in which a zero vector is a None entry (direction
+    unusable). The rows and their checks are read_prediction_rows'.
+    """
+    rows = read_prediction_rows(path)
+    return _annotations(rows), rows.n_frames

@@ -51,8 +51,12 @@ def read_prediction_csv(path):
         t, c = rows[bad[0]][:2]
         raise DataError(f"{path}: direction of frame {t}, class {c} has no finite length")
     n_frames = 1 + max((r[0] for r in rows), default=-1)
-    frames, classes = (r[0] for r in rows), (r[1] for r in rows)
-    return metrics._annotations_from_rows(n_frames, frames, classes, v), n_frames
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v, axis=1)
+    ann = [dict() for _ in range(n_frames)]
+    for (t, c, *_), u, n in zip(rows, v, norm):  # a later row replaces an earlier one
+        ann[t][c] = u / n if n > 0.0 else None
+    return ann, n_frames
 
 
 def read_annotation_csv(path):

@@ -259,6 +259,26 @@ class TestEvalCommand:
         assert rc == 1
         assert "activity cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("class_id, code", [(0, 0), (40, 1)])
+    def test_two_rows_at_the_last_frame_index(self, tmp_path, capsys, class_id, code):
+        # 8,388,608 frames: scored from the two rows, not from one dict per
+        # frame (which took 1.26 GB); with 41 classes the activity-cell limit
+        # is hit before any (frames, classes) array exists
+        path = tmp_path / "p.csv"
+        path.write_text(f"frame_index,class_id,x,y,z\n0,0,1,0,0\n"
+                        f"{metrics.MAX_FRAMES - 1},{class_id},0,0,1\n")
+        rc, peak, _ = traced_peak(cli.main, ["eval", "--pred", str(path), "--ref", str(path),
+                                             "--sr", "100", "--hop", "2"])
+        captured = capsys.readouterr()
+        assert rc == code
+        assert peak < 64 * 2 ** 20
+        if code:
+            assert "activity cells" in captured.err
+            assert peak < 2 ** 20
+        else:
+            assert f"frames           : {metrics.MAX_FRAMES} (50 per segment)" in captured.out
+            assert "frame recall(FR) : 100.0000%" in captured.out
+
 
 class TestBenchCommand:
     def test_repeats_below_three_is_usage_error(self):
@@ -496,9 +516,10 @@ class TestHostileInvocations:
         assert_clean_exit_one(result)
         assert "train.txt" in result.stderr and message in result.stderr
 
-    @pytest.mark.parametrize("sr, hop", [(100, 0), (0, 100), (100, -1)])
+    @pytest.mark.parametrize("sr, hop", [(100, 0), (0, 100), (100, -1), (100, 300)])
     def test_eval_rate_or_hop_below_one(self, tmp_path, sr, hop):
-        # rejected before either (missing) CSV is opened
+        # rejected before either (missing) CSV is opened; 100 / 300 rounds
+        # to 0 frames per segment
         result = run_seld("eval", "--pred", tmp_path / "no.csv", "--ref", tmp_path / "no.csv",
                           "--sr", sr, "--hop", hop)
         assert_clean_exit_one(result)

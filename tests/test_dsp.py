@@ -533,6 +533,19 @@ class TestAddNoise:
         expected = (x + gain * n).astype(np.float32)
         assert np.array_equal(dsp.add_noise(clip, spec, noise=noise).samples, expected)
 
+    def test_awgn_transient_memory(self):
+        # the float64 noise and Box-Muller's scratch (4x the float32 clip)
+        # bound the peak; a float64 copy of the clip would add 2x more
+        clip = dsp.AudioClip(
+            np.random.default_rng(23).uniform(-0.8, 0.8, (4, 480000)).astype(np.float32), 16000)
+        spec = dsp.AugmentSpec(kind="awgn", snr_db=10.0, rng_seed=3)
+        noisy, peak, _ = traced_peak(dsp.add_noise, clip, spec)
+        x = clip.samples.astype(np.float64)
+        n = ref_box_muller(np.random.default_rng(3), x.size).reshape(x.shape)
+        expected = (x + np.sqrt(np.mean(x ** 2) / (np.mean(n ** 2) * 10.0)) * n).astype(np.float32)
+        assert np.array_equal(noisy.samples, expected)
+        assert peak <= 4.5 * clip.samples.nbytes
+
     def test_channel_count_mismatch_rejected(self):
         clip = tone(440, 8000, 0.5, n_channels=2)
         noise = tone(100, 8000, 0.5, n_channels=1)

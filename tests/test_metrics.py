@@ -874,3 +874,93 @@ class TestEvaluateAnnotations:
         rep = metrics.evaluate_annotations(ann, ann, n_classes=2, frames_per_segment=2)
         assert rep.er == 0.0 and rep.f1 == 1.0
         assert rep.fr == 100.0 and rep.de == 0.0
+
+
+def write_rows(path, rows):
+    """An interchange CSV with the given (frame, class, xyz) rows, in that order."""
+    path.write_text(",".join(metrics.CSV_HEADER) + "\n"
+                    + "".join("%d,%d,%.10g,%.10g,%.10g\n" % (t, c, *v) for t, c, v in rows))
+
+
+def report_image(report):
+    """Everything an EvalReport holds, with each float as its exact hex."""
+    def exact(x):
+        return None if x is None else float(x).hex()
+    return (exact(report.er), exact(report.f1), exact(report.fr), exact(report.de),
+            report.counts, report.n_matched_pairs)
+
+
+class TestEventRows:
+    COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                          st.floats(-10.0, 10.0, allow_nan=False))
+    VECTOR = st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(COMPONENT, COMPONENT, COMPONENT))
+    # small frame and class ranges: rows arrive unsorted and repeat (frame,
+    # class) keys, and the two sides end at different frames
+    ROWS = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 5), VECTOR), max_size=40)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pred=ROWS, ref=ROWS, fps=st.integers(1, 4))
+    def test_rows_score_as_padded_annotations(self, tmp_path_factory, pred, ref, fps):
+        d = tmp_path_factory.mktemp("rows")
+        write_rows(d / "p.csv", pred)
+        write_rows(d / "r.csv", ref)
+        rows = [metrics.read_prediction_rows(d / name) for name in ("p.csv", "r.csv")]
+        anns = []
+        for name, side in zip(("p.csv", "r.csv"), rows):
+            ann, n_frames = metrics.read_prediction_csv(d / name)
+            assert n_frames == side.n_frames
+            # one row per dict entry, in the dicts' iteration order
+            assert [(t, c) for t, frame in enumerate(ann) for c in frame] == list(
+                zip(side.frame.tolist(), side.class_id.tolist()))
+            assert (reference_csv.annotation_bytes(ann, n_frames)
+                    == reference_csv.annotation_bytes(*reference_csv.read_prediction_csv(d / name)))
+            anns.append(ann)
+        n_frames = max(len(ann) for ann in anns)
+        pred_ann, ref_ann = (ann + [dict() for _ in range(n_frames - len(ann))] for ann in anns)
+        n_classes = 1 + max((c for ann in (pred_ann, ref_ann) for frame in ann for c in frame),
+                            default=0)
+        if n_frames == 0:  # both sides empty
+            for evaluate, args in ((metrics.evaluate_rows, rows),
+                                   (metrics.evaluate_annotations, (pred_ann, ref_ann))):
+                with pytest.raises(InputError, match="zero frames"):
+                    evaluate(*args, n_classes, fps)
+            return
+        got = metrics.evaluate_rows(*rows, n_classes, fps)
+        assert report_image(got) == report_image(
+            metrics.evaluate_annotations(pred_ann, ref_ann, n_classes, fps))
+        # the blockwise dict matcher and a per-frame count agree bit for bit
+        total, pairs = metrics.doa_error_accumulate(pred_ann, ref_ann)
+        assert pairs == got.n_matched_pairs
+        assert report_image(got)[3] == (None if pairs == 0 else (total / pairs).hex())
+        hits = sum(len(p) == len(r) for p, r in zip(pred_ann, ref_ann))
+        assert got.fr == 100.0 * hits / n_frames
+
+    def test_rows_keep_first_place_and_last_vector(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_rows(path, [(2, 3, (1, 0, 0)), (0, 1, (0, 0, 2)), (2, 0, (0, 0, 0)),
+                          (2, 3, (0, 3, 0)), (0, 1, (0, 0, 0))])
+        rows = metrics.read_prediction_rows(path)
+        assert rows.n_frames == 3
+        assert rows.frame.tolist() == [0, 2, 2]
+        assert rows.class_id.tolist() == [1, 3, 0]
+        assert rows.usable.tolist() == [False, True, False]
+        assert rows.doa[1].tolist() == [0.0, 1.0, 0.0]
+
+    def test_dense_rows_match_annotations(self, tmp_path):
+        # more than two _DOA_BLOCK blocks, shaped like the dense eval benchmark
+        rng = np.random.default_rng(48)
+        paths = []
+        for name, max_active in (("p.csv", 6), ("r.csv", 3)):
+            lines = dense_prediction_lines(rng, 2 * metrics._DOA_BLOCK + 300, max_active=max_active)
+            paths.append(tmp_path / name)
+            paths[-1].write_text(",".join(metrics.CSV_HEADER) + "\n" + "\n".join(lines) + "\n")
+        got = metrics.evaluate_rows(*map(metrics.read_prediction_rows, paths), 11, 62)
+        pred_ann, ref_ann = (metrics.read_prediction_csv(p)[0] for p in paths)
+        n_frames = max(len(pred_ann), len(ref_ann))
+        for ann in (pred_ann, ref_ann):
+            ann += [dict() for _ in range(n_frames - len(ann))]
+        want = metrics.evaluate_annotations(pred_ann, ref_ann, 11, 62)
+        assert report_image(got) == report_image(want)
+        total, pairs = metrics.doa_error_accumulate(pred_ann, ref_ann)
+        assert got.n_matched_pairs == pairs > 0
+        assert got.de == total / pairs
