@@ -226,6 +226,12 @@ def cmd_bench(args):
 # featurize / infer
 # ---------------------------------------------------------------------------
 
+def _check_noise_flags(args):
+    """--noise-wav is read only with --noise-kind noise_file and an --snr."""
+    if args.noise_wav is not None and (args.noise_kind != "noise_file" or args.snr is None):
+        raise InputError("--noise-wav needs --noise-kind noise_file and --snr")
+
+
 def _load_augmented(args, sample_rate_hz):
     """Shared ingestion: read wav, then resample (if a rate is given) -> noise -> reverb."""
     clip = dsp.read_wav(args.wav)
@@ -234,8 +240,7 @@ def _load_augmented(args, sample_rate_hz):
         clip = dsp.resample(clip, sample_rate_hz)
     if args.snr is not None:
         spec = dsp.AugmentSpec(kind=args.noise_kind, snr_db=args.snr, rng_seed=seed)
-        noise = (dsp.read_wav(args.noise_wav)
-                 if args.noise_kind == "noise_file" and args.noise_wav is not None else None)
+        noise = None if args.noise_wav is None else dsp.read_wav(args.noise_wav)
         clip = dsp.add_noise(clip, spec, noise=noise)
     if args.reverb is not None:
         spec = dsp.AugmentSpec(kind="reverb", reverb_strength=args.reverb, rng_seed=seed)
@@ -244,6 +249,7 @@ def _load_augmented(args, sample_rate_hz):
 
 
 def cmd_featurize(args):
+    _check_noise_flags(args)
     clip = _load_augmented(args, args.sr)
     feats = dsp.stft_features(clip)
     c, t, f = feats.values.shape
@@ -263,6 +269,7 @@ def cmd_featurize(args):
 
 
 def cmd_infer(args):
+    _check_noise_flags(args)
     cfg, extras = models.load_config(f"{args.weights}.cfg")
     # featurize at the rate the model was trained at, when its sidecar says
     sample_rate = extras.get("sample_rate_hz", args.sr)
@@ -350,6 +357,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "bench" and args.repeats < 3:
         parser.error("--repeats must be at least 3")
+    if args.command == "bench" and args.warmup < 0:
+        parser.error("--warmup must be at least 0")
     try:
         return args.func(args)
     except SeldError as exc:

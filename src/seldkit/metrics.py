@@ -5,13 +5,14 @@ and F1 for detection, frame recall (FR, percent of frames whose predicted
 event count matches the reference) and DOA error (DE, mean angular distance
 in degrees over optimally matched event pairs) for localization.
 
-An annotation table has two forms. `EventRows` holds one row per (frame,
-class) event as flat arrays; `read_prediction_rows` reads it and
-`evaluate_rows` scores two of them, which is what `seld eval` does. Frame
-annotations are lists with one dict per frame mapping class_id to a unit DOA
-vector, or to None for events whose direction is unusable (these still count
-toward frame cardinality but never enter angle matching); the functions that
-take them convert to the same kernels.
+Scoring takes `EventRows` tables, one row per (frame, class) event as flat
+arrays: `read_prediction_rows` reads one from the interchange CSV and
+`evaluate_rows` scores two of them, which is what `seld eval` does. A model's
+output becomes frame annotations, lists with one dict per frame mapping
+class_id to a unit DOA vector, or to None for an event whose direction is
+unusable (it still counts toward frame cardinality but never enters angle
+matching); `write_prediction_csv` writes them and `rows_from_annotations`
+turns them into a table.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DataError, FormatError, InputError, NumericError
 
 CSV_HEADER = ["frame_index", "class_id", "x", "y", "z"]
-# read_prediction_csv allocates one dict per frame up to the largest frame
-# index, so the reader bounds both indices while parsing. 2**23 frames is about 37 h at 62.5
-# frames/s (16 kHz, hop 256); SELD class sets have tens of classes.
+# read_prediction_rows bounds both indices while parsing, which keeps _kept_rows'
+# (frame, class) key and the activity size in range. 2**23 frames is about 37 h
+# at 62.5 frames/s (16 kHz, hop 256); SELD class sets have tens of classes.
 MAX_FRAMES = 2 ** 23
 MAX_CLASSES = 1024
 # Evaluation's (frames, classes) activity matrices, 256 MiB of bool each; the
@@ -49,8 +50,9 @@ def binarize_sed(sed, threshold=0.5):
 class EventRows:
     """One annotation table as flat arrays, one row per (frame, class) event.
 
-    Rows run by frame and, within a frame, in the order that frame's dict
-    from read_prediction_csv iterates. `doa` is float64 (N, 3): a unit
+    Rows are sorted by frame. Within a frame they keep the order in which
+    each class first appears: in the file for read_prediction_rows, in the
+    frame's dict for rows_from_annotations. `doa` is float64 (N, 3): a unit
     vector where `usable`, elsewhere the raw triple of a direction without
     a positive length. `n_frames` is the number of frames the table spans.
     """
@@ -63,9 +65,13 @@ class EventRows:
 
 
 def _row_norms(v):
-    """Euclidean length of each row of v; an overflow gives inf."""
+    """Euclidean length of each row of v (N, 3), bit for bit np.linalg.norm's
+    but with one column of transient memory; an overflow gives inf."""
     with np.errstate(over="ignore"):
-        return np.linalg.norm(v, axis=1)
+        norm = v[:, 0] * v[:, 0]
+        norm += v[:, 1] * v[:, 1]
+        norm += v[:, 2] * v[:, 2]
+        return np.sqrt(norm, out=norm)
 
 
 def _event_rows(n_frames, frame, class_id, v, norm):
@@ -88,7 +94,7 @@ def _annotations(rows):
     return ann
 
 
-def _rows_from_annotations(ann):
+def rows_from_annotations(ann):
     """The event table of frame annotations; vectors are taken as they are."""
     frame = np.repeat(np.arange(len(ann)), np.fromiter(map(len, ann), np.intp, len(ann)))
     class_id = np.fromiter(chain.from_iterable(ann), np.intp, len(frame))
@@ -210,14 +216,6 @@ def _frame_recall(pred_frame, ref_frame, n_frames):
     return 100.0 * (n_frames - misses) / n_frames
 
 
-def frame_recall(pred_ann, ref_ann):
-    """Percent of frames whose predicted event count equals the reference count."""
-    if len(pred_ann) != len(ref_ann):
-        raise InputError(f"frame counts differ: {len(pred_ann)} vs {len(ref_ann)}")
-    return _frame_recall(_rows_from_annotations(pred_ann).frame,
-                         _rows_from_annotations(ref_ann).frame, len(ref_ann))
-
-
 def angular_distance_deg(u, v):
     """Angle in degrees between unit vectors, broadcast over leading axes.
 
@@ -275,64 +273,37 @@ def _match_block(n_pred, pred, n_ref, ref):
     return total, pairs
 
 
-def _usable_at(rows, frames):
-    """Per-frame counts and flat (sum, 3) stack of the usable vectors at `frames`."""
-    keep = rows.usable & np.isin(rows.frame, frames)
-    return _runs(rows.frame[keep])[1], rows.doa[keep]
+def _block_counts(rows, lo, hi, start):
+    """Frames (from `start`) and usable mask of rows [lo, hi), and usable counts per frame."""
+    frame = rows.frame[lo:hi] - start
+    usable = rows.usable[lo:hi]
+    return frame, usable, np.bincount(frame[usable], minlength=_DOA_BLOCK)
 
 
-def _doa_rows(pred, ref):
-    """Total matched angle and pair count of two event tables.
+def doa_error_accumulate(pred, ref):
+    """Total matched angle (degrees) and pair count of two event tables.
 
-    Only frames with usable vectors on both sides can match. They are taken
-    in the _DOA_BLOCK frame blocks that doa_error_accumulate walks, and a
-    block without them adds nothing, so the total sums in the same order.
-    """
-    both = np.intersect1d(_runs(pred.frame[pred.usable])[0], _runs(ref.frame[ref.usable])[0],
-                          assume_unique=True)
-    n_pred, pred_v = _usable_at(pred, both)
-    n_ref, ref_v = _usable_at(ref, both)
-    at_pred = np.concatenate(([0], np.cumsum(n_pred)))
-    at_ref = np.concatenate(([0], np.cumsum(n_ref)))
-    total = 0.0
-    pairs = 0
-    j = 0
-    for size in _runs(both // _DOA_BLOCK)[1].tolist():
-        i, j = j, j + size
-        angle, n = _match_block(n_pred[i:j], pred_v[at_pred[i]:at_pred[j]],
-                                n_ref[i:j], ref_v[at_ref[i]:at_ref[j]])
-        total += angle
-        pairs += n
-    return total, pairs
-
-
-def doa_error_accumulate(pred_ann, ref_ann):
-    """Total matched angle (degrees) and pair count, pooled over all frames.
-
-    Each frame pairs its non-None predicted and reference vectors by optimal
+    Each frame pairs its usable predicted and reference vectors by optimal
     (Hungarian) assignment on their angle matrix, as SELDnet's DE defines
-    it. Frames are taken _DOA_BLOCK at a time and grouped by shape, so the
-    angles come from a few vectorized calls and only frames with at least
-    two events on each side reach the solver.
+    it. Frames are matched _DOA_BLOCK at a time, each block's rows found by
+    binary search, and the block totals are summed in frame order.
     """
-    if len(pred_ann) != len(ref_ann):
-        raise InputError(f"frame counts differ: {len(pred_ann)} vs {len(ref_ann)}")
+    edges = np.arange(0, max(pred.n_frames, ref.n_frames) + _DOA_BLOCK, _DOA_BLOCK)
+    at_pred = np.searchsorted(pred.frame, edges).tolist()
+    at_ref = np.searchsorted(ref.frame, edges).tolist()
     total = 0.0
     pairs = 0
-    for start in range(0, len(ref_ann), _DOA_BLOCK):
-        angle, n = _doa_rows(_rows_from_annotations(pred_ann[start:start + _DOA_BLOCK]),
-                             _rows_from_annotations(ref_ann[start:start + _DOA_BLOCK]))
+    for start, p0, p1, r0, r1 in zip(edges.tolist(), at_pred, at_pred[1:], at_ref, at_ref[1:]):
+        if p0 == p1 or r0 == r1:
+            continue
+        pf, pu, n_pred = _block_counts(pred, p0, p1, start)
+        rf, ru, n_ref = _block_counts(ref, r0, r1, start)
+        both = (n_pred > 0) & (n_ref > 0)
+        angle, n = _match_block(n_pred[both], pred.doa[p0:p1][pu & both[pf]],
+                                n_ref[both], ref.doa[r0:r1][ru & both[rf]])
         total += angle
         pairs += n
     return total, pairs
-
-
-def doa_error(pred_ann, ref_ann):
-    """Mean matched angular distance in degrees; None if no pairs matched."""
-    total, pairs = doa_error_accumulate(pred_ann, ref_ann)
-    if pairs == 0:
-        return None
-    return total / pairs
 
 
 def doa_vectors_from_prediction(sed_activity, doa):
@@ -351,12 +322,6 @@ def doa_vectors_from_prediction(sed_activity, doa):
     t, c = np.nonzero(activity)
     v = doa.reshape(t_len, n_classes, 3)[t, c]
     return _annotations(_event_rows(t_len, t, c, v, _row_norms(v)))
-
-
-def annotation_activity(ann, n_classes):
-    """Boolean (T, n_classes) activity implied by frame annotations (at most 2**28 cells)."""
-    rows = _rows_from_annotations(ann)
-    return _activity(rows.frame, rows.class_id, rows.n_frames, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +351,7 @@ def evaluate_rows(pred, ref, n_classes, frames_per_segment) -> EvalReport:
     counts = segment_counts(_activity(pred.frame, pred.class_id, n_frames, n_classes),
                             _activity(ref.frame, ref.class_id, n_frames, n_classes),
                             frames_per_segment)
-    total, pairs = _doa_rows(pred, ref)
+    total, pairs = doa_error_accumulate(pred, ref)
     return EvalReport(
         er=counts.er,
         f1=counts.f1,
@@ -395,14 +360,6 @@ def evaluate_rows(pred, ref, n_classes, frames_per_segment) -> EvalReport:
         counts=counts,
         n_matched_pairs=pairs,
     )
-
-
-def evaluate_annotations(pred_ann, ref_ann, n_classes, frames_per_segment) -> EvalReport:
-    """Compute the full metric report from two frame annotation lists of one length."""
-    if len(pred_ann) != len(ref_ann):
-        raise InputError(f"frame counts differ: {len(pred_ann)} vs {len(ref_ann)}")
-    return evaluate_rows(_rows_from_annotations(pred_ann), _rows_from_annotations(ref_ann),
-                         n_classes, frames_per_segment)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +423,17 @@ _PREDICTION_ROW = np.dtype([("t", "<i8"), ("c", "<i8"), ("v", "<f8", 3)])
 
 
 def _kept_rows(t, c):
-    """Indices of the rows a frame dict keeps, in its iteration order.
+    """Index of the rows a frame dict keeps, in its iteration order.
 
     Each (frame, class) keeps its last row, placed by frame and then by the
     key's first row, as assigning the rows to one dict per frame in file
-    order does.
+    order does. Rows whose keys ascend, as write_prediction_csv writes
+    them, are all kept in file order: the index is then a slice, so taking
+    them copies nothing.
     """
     key = t * MAX_CLASSES + c  # one key per (frame, class): c < MAX_CLASSES
+    if np.all(key[1:] > key[:-1]):
+        return slice(None)
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.ones(len(key), bool)
@@ -514,14 +475,3 @@ def read_prediction_rows(path) -> EventRows:
     n_frames = int(t.max()) + 1 if t.size else 0
     keep = _kept_rows(t, c)
     return _event_rows(n_frames, t[keep], c[keep], v[keep], norm[keep])
-
-
-def read_prediction_csv(path):
-    """Read interchange CSV into frame annotations.
-
-    Returns (annotations, n_frames): one dict per frame up to the largest
-    frame index present, in which a zero vector is a None entry (direction
-    unusable). The rows and their checks are read_prediction_rows'.
-    """
-    rows = read_prediction_rows(path)
-    return _annotations(rows), rows.n_frames

@@ -13,6 +13,15 @@ from itertools import permutations
 import numpy as np
 
 
+def oracle_activity(ann, n_classes):
+    """Boolean (frames, n_classes) activity of frame annotations, one cell at a time."""
+    act = np.zeros((len(ann), n_classes), dtype=bool)
+    for t, frame in enumerate(ann):
+        for c in frame:
+            act[t, c] = True
+    return act
+
+
 def oracle_segment_er_f1(pred_activity, ref_activity, frames_per_segment):
     """(ER, F1) as exact Fractions (or None), via per-segment set algebra."""
     pred = np.asarray(pred_activity, dtype=bool)

@@ -1,9 +1,12 @@
 """The csv-module CSV readers, kept as references for the np.loadtxt readers.
 
-They parse each row with the `csv` module, `int()` and `float()`, as
-`metrics.read_prediction_csv` and `synth.read_annotation_csv` once did, and
-accept a superset of what those now accept: quoted cells, digit separators
-(`1_0`) and non-ASCII digits.
+They parse each row with the `csv` module, `int()` and `float()`, as the
+library's prediction reader and `synth.read_annotation_csv` once did, and
+accept a superset of what `metrics.read_prediction_rows` and
+`synth.read_annotation_csv` now accept: quoted cells, digit separators
+(`1_0`) and non-ASCII digits. The prediction reader returns frame
+annotations, one dict per frame; `rows_image` compares them with an event
+table through `metrics.rows_from_annotations`.
 """
 
 import csv
@@ -80,10 +83,12 @@ def read_annotation_csv(path):
     return events
 
 
-def annotation_bytes(ann, n_frames):
-    """A comparable image of frame annotations: keys, None-ness and vector bytes."""
-    return n_frames, [[(c, type(c), None if v is None else (v.dtype, v.tobytes()))
-                       for c, v in frame.items()] for frame in ann]
+def rows_image(rows):
+    """A comparable image of an event table: n_frames, then each row's frame,
+    class and usability, with its vector's bytes where it is usable."""
+    return rows.n_frames, [(t, c, ok, v.tobytes() if ok else None)
+                           for t, c, ok, v in zip(rows.frame.tolist(), rows.class_id.tolist(),
+                                                  rows.usable.tolist(), rows.doa)]
 
 
 def event_fields(events):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from seldkit import cli, metrics, models, nn, synth
-from oracle_metrics import oracle_doa_error, oracle_segment_er_f1, random_metric_case
+from oracle_metrics import (oracle_activity, oracle_doa_error, oracle_segment_er_f1,
+                            random_metric_case)
 from weight_stores import same_store
 
 
@@ -318,11 +319,11 @@ class TestCriterion4MetricOracles:
         n_cases = 200
         for _ in range(n_cases):
             pred_ann, ref_ann, n_classes, fps = random_metric_case(rng)
-            pred = metrics.annotation_activity(pred_ann, n_classes)
-            ref = metrics.annotation_activity(ref_ann, n_classes)
-
-            counts = metrics.segment_counts(pred, ref, fps)
-            er_o, f1_o = oracle_segment_er_f1(pred, ref, fps)
+            rep = metrics.evaluate_rows(metrics.rows_from_annotations(pred_ann),
+                                        metrics.rows_from_annotations(ref_ann), n_classes, fps)
+            counts = rep.counts
+            er_o, f1_o = oracle_segment_er_f1(oracle_activity(pred_ann, n_classes),
+                                              oracle_activity(ref_ann, n_classes), fps)
             if er_o is None:
                 assert counts.er is None
             else:
@@ -333,7 +334,7 @@ class TestCriterion4MetricOracles:
                 assert Fraction(2 * counts.tp,
                                 2 * counts.tp + counts.fp + counts.fn) == f1_o
 
-            de = metrics.doa_error(pred_ann, ref_ann)
+            de = rep.de
             de_o = oracle_doa_error(pred_ann, ref_ann)
             if de_o is None:
                 assert de is None
@@ -366,7 +367,8 @@ def evaluate_sequences(model, sequences, fps):
         counts = counts + metrics.segment_counts(act, ref_act, fps)
         pred_ann = metrics.doa_vectors_from_prediction(act, pred.doa)
         ref_ann = metrics.doa_vectors_from_prediction(ref_act, seq.doa)
-        deg, n = metrics.doa_error_accumulate(pred_ann, ref_ann)
+        deg, n = metrics.doa_error_accumulate(metrics.rows_from_annotations(pred_ann),
+                                              metrics.rows_from_annotations(ref_ann))
         total_deg += deg
         pairs += n
         fr_hits += sum(1 for p, r in zip(pred_ann, ref_ann) if len(p) == len(r))
@@ -508,8 +510,9 @@ class TestCriterion8RoundTrips:
                                        hop_s=256 / 16000, n_sed=2)
         activity = metrics.binarize_sed(sed, 0.5)
         ann = metrics.doa_vectors_from_prediction(activity, doa)
-        rep = metrics.evaluate_annotations(ann, ann, n_classes=2,
-                                           frames_per_segment=round(16000 / 256))
+        rows = metrics.rows_from_annotations(ann)
+        rep = metrics.evaluate_rows(rows, rows, n_classes=2,
+                                    frames_per_segment=round(16000 / 256))
         ok = (rep.er == 0.0 and rep.f1 == 1.0 and rep.fr == 100.0 and rep.de == 0.0)
         report(8, "synth -> targets -> metrics self-evaluation is perfect", ok,
                f"ER={rep.er} F1={rep.f1} FR={rep.fr} DE={rep.de}")

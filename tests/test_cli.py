@@ -286,6 +286,12 @@ class TestBenchCommand:
             run_cli("bench", "--model", "seldtcn", "--repeats", 1)
         assert exc.value.code == 2
 
+    def test_negative_warmup_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--model", "seldtcn", "--repeats", 3, "--warmup", -1)
+        assert exc.value.code == 2
+        assert "--warmup must be at least 0" in capsys.readouterr().err
+
     def test_smoke_report(self, tmp_path, capsys):
         rc = run_cli("bench", "--model", "seldtcn", "--seq-len", 32,
                      "--repeats", 3, "--warmup", 1, "--classes", 2,
@@ -366,6 +372,13 @@ class TestFeaturizeCommand:
         frames = {int(line.split(",")[1]) for line in out.read_text().splitlines()[1:]}
         assert max(frames) + 1 == 1 + (8000 - 512) // 256
 
+    def test_noise_wav_flag_is_read(self, sample_wav, tmp_path):
+        outs = [tmp_path / "awgn.csv", tmp_path / "file.csv"]
+        assert run_cli("featurize", "--wav", sample_wav, "--out", outs[0], "--snr", 10) == 0
+        assert run_cli("featurize", "--wav", sample_wav, "--out", outs[1], "--snr", 10,
+                       "--noise-kind", "noise_file", "--noise-wav", sample_wav) == 0
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+
     def test_augment_flags_deterministic(self, sample_wav, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -381,8 +394,8 @@ class TestInferCommand:
         rc = run_cli("infer", "--weights", trained_weights, "--wav", sample_wav,
                      "--out", out)
         assert rc == 0
-        ann, n_frames = metrics.read_prediction_csv(out)
-        assert n_frames <= 1 + (16000 - 512) // 256
+        rows = metrics.read_prediction_rows(out)
+        assert rows.n_frames <= 1 + (16000 - 512) // 256
 
     def test_bad_magic_exits_one(self, sample_wav, tmp_path, capsys):
         bogus = tmp_path / "bogus.seldw"
@@ -487,11 +500,9 @@ class TestInferCommand:
         assert rc == 0
         kv = read_kv(report_path)
 
-        pred_ann, n_pred = metrics.read_prediction_csv(pred_csv)
-        n = max(n_pred, len(ref_ann))
-        pred_ann += [dict() for _ in range(n - n_pred)]
-        ref_full = ref_ann + [dict() for _ in range(n - len(ref_ann))]
-        direct = metrics.evaluate_annotations(pred_ann, ref_full, 3, round(8000 / 256))
+        direct = metrics.evaluate_rows(metrics.read_prediction_rows(pred_csv),
+                                       metrics.rows_from_annotations(ref_ann), 3,
+                                       round(8000 / 256))
         assert float(kv["fr"]) == pytest.approx(direct.fr, abs=1e-8)
         if direct.er is not None:
             assert float(kv["er"]) == pytest.approx(direct.er, abs=1e-8)
@@ -524,6 +535,22 @@ class TestHostileInvocations:
                           "--sr", sr, "--hop", hop)
         assert_clean_exit_one(result)
         assert "--sr and --hop" in result.stderr
+
+    @pytest.mark.parametrize("flags", [
+        (),                                         # no --snr: nothing to add it to
+        ("--snr", 10),                              # --noise-kind defaults to awgn
+        ("--snr", 10, "--noise-kind", "awgn"),
+        ("--noise-kind", "noise_file"),             # no --snr
+    ])
+    @pytest.mark.parametrize("command", ["featurize", "infer"])
+    def test_unused_noise_wav_rejected_before_any_read(self, tmp_path, capsys, command, flags):
+        # none of the named files exists: the flags are checked first
+        weights = ("--weights", tmp_path / "w.seldw") if command == "infer" else ()
+        rc = run_cli(command, *weights, "--wav", tmp_path / "in.wav", "--out", tmp_path / "o.csv",
+                     "--noise-wav", tmp_path / "noise.wav", *flags)
+        assert rc == 1
+        assert "--noise-wav needs --noise-kind noise_file and --snr" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_featurize_noise_file_without_noise_wav(self, sample_wav, tmp_path):
         result = run_seld("featurize", "--wav", sample_wav, "--out", tmp_path / "f.csv",

@@ -15,8 +15,23 @@ from scipy.optimize import linear_sum_assignment
 import reference_csv
 from seldkit import metrics, synth
 from seldkit.errors import DataError, FormatError, InputError, NumericError, SeldError
-from oracle_metrics import oracle_doa_error, oracle_segment_er_f1, random_metric_case
+from oracle_metrics import (oracle_activity, oracle_doa_error, oracle_segment_er_f1,
+                            random_metric_case)
 from traced_memory import traced_peak
+
+
+def tables(*anns):
+    """The event table of each frame annotation list."""
+    return [metrics.rows_from_annotations(ann) for ann in anns]
+
+
+def evaluate(pred_ann, ref_ann, n_classes=None, frames_per_segment=1):
+    """evaluate_rows on two frame annotation lists; n_classes defaults to one
+    past the largest class id on either side."""
+    pred, ref = tables(pred_ann, ref_ann)
+    if n_classes is None:
+        n_classes = 1 + int(max(pred.class_id.max(initial=0), ref.class_id.max(initial=0)))
+    return metrics.evaluate_rows(pred, ref, n_classes, frames_per_segment)
 
 
 class TestBinarize:
@@ -145,54 +160,55 @@ class TestFrameRecall:
 
     def test_perfect(self):
         ann = self.make_ann([1, 0, 2, 1])
-        assert metrics.frame_recall(ann, ann) == 100.0
+        assert evaluate(ann, ann).fr == 100.0
 
     def test_silent_prediction_against_40pct_active(self):
         ref = self.make_ann([1, 1, 0, 0, 0, 1, 1, 0, 0, 0])
         pred = self.make_ann([0] * 10)
-        assert metrics.frame_recall(pred, ref) == 60.0
+        assert evaluate(pred, ref).fr == 60.0
 
     def test_cardinality_only(self):
         ref = [{0: np.array([1.0, 0, 0])}]
         pred = [{3: np.array([0.0, 1.0, 0])}]  # wrong class, same count
-        assert metrics.frame_recall(pred, ref) == 100.0
+        assert evaluate(pred, ref).fr == 100.0
 
     def test_zero_frames_rejected(self):
         with pytest.raises(InputError):
-            metrics.frame_recall([], [])
+            evaluate([], [])
 
 
 class TestDoaError:
     def test_identical_gives_zero(self):
         ann = [{0: np.array([0.0, 0.0, 1.0]), 2: np.array([1.0, 0.0, 0.0])}]
-        assert metrics.doa_error(ann, ann) == 0.0
+        assert evaluate(ann, ann).de == 0.0
 
     def test_antipodal_is_180(self):
         pred = [{0: np.array([0.0, 0.0, 1.0])}]
         ref = [{0: np.array([0.0, 0.0, -1.0])}]
-        assert metrics.doa_error(pred, ref) == pytest.approx(180.0)
+        assert evaluate(pred, ref).de == pytest.approx(180.0)
         angle = metrics.angular_distance_deg(pred[0][0], ref[0][0])
         assert isinstance(angle, float) and angle == pytest.approx(180.0)
 
     def test_assignment_swaps(self):
         ref = [{0: np.array([1.0, 0, 0]), 1: np.array([0, 1.0, 0])}]
         pred = [{0: np.array([0, 1.0, 0]), 1: np.array([1.0, 0, 0])}]
-        assert metrics.doa_error(pred, ref) == pytest.approx(0.0)
+        assert evaluate(pred, ref).de == pytest.approx(0.0)
 
     def test_non_finite_vector_rejected(self):
         pred = [{0: np.array([np.nan, 0.0, 0.0])}]
         ref = [{0: np.array([1.0, 0.0, 0.0])}]
         with pytest.raises(NumericError):
-            metrics.doa_error(pred, ref)
+            evaluate(pred, ref)
 
     def test_no_pairs_returns_none(self):
-        assert metrics.doa_error([{}], [{}]) is None
+        assert evaluate([{}], [{}]).de is None
 
     def test_none_vectors_skip_matching_but_count_for_recall(self):
         pred = [{0: None}]
         ref = [{0: np.array([1.0, 0, 0])}]
-        assert metrics.doa_error(pred, ref) is None
-        assert metrics.frame_recall(pred, ref) == 100.0
+        report = evaluate(pred, ref)
+        assert report.de is None
+        assert report.fr == 100.0
 
     def test_dense_frame_is_fast(self):
         # 11 events per side: 11! permutations would take minutes
@@ -201,6 +217,7 @@ class TestDoaError:
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         ref = [{c: vecs[c] for c in range(11)}]
         pred = [{c: vecs[(c + 4) % 11] for c in range(11)}]
+        pred, ref = tables(pred, ref)
         t0 = time.perf_counter()
         total, pairs = metrics.doa_error_accumulate(pred, ref)
         assert time.perf_counter() - t0 < 1.0
@@ -222,8 +239,8 @@ class TestDoaError:
                 v = rng.standard_normal(3)
                 g[len(g) + 10] = v / np.linalg.norm(v)
             g = dict(list(g.items())[:len(f)])
-            a = metrics.doa_error([f], [g])
-            b = metrics.doa_error([g], [f])
+            a = evaluate([f], [g]).de
+            b = evaluate([g], [f]).de
             assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -246,6 +263,19 @@ def per_frame_doa(pred_ann, ref_ann):
         rows, cols = linear_sum_assignment(angles)
         total += angles[rows, cols].sum()
         pairs += len(rows)
+    return total, pairs
+
+
+def blockwise_doa(pred_ann, ref_ann):
+    """DE's (total, pairs) with each _DOA_BLOCK slice of the frame annotations
+    converted and matched on its own, the block totals summed in order."""
+    total, pairs = 0.0, 0
+    for start in range(0, max(len(pred_ann), len(ref_ann)), metrics._DOA_BLOCK):
+        end = start + metrics._DOA_BLOCK
+        angle, n = metrics.doa_error_accumulate(*tables(pred_ann[start:end],
+                                                        ref_ann[start:end]))
+        total += angle
+        pairs += n
     return total, pairs
 
 
@@ -283,7 +313,7 @@ class TestGroupedDoaMatching:
         n = 2 * metrics._DOA_BLOCK + 37
         cases.append(shaped_frames(rng, zip(rng.integers(0, 7, n), rng.integers(0, 4, n))))
         for pred, ref in cases:
-            total, pairs = metrics.doa_error_accumulate(pred, ref)
+            total, pairs = metrics.doa_error_accumulate(*tables(pred, ref))
             want_total, want_pairs = per_frame_doa(pred, ref)
             assert pairs == want_pairs
             assert abs(total - want_total) <= 1e-9
@@ -298,12 +328,12 @@ class TestGroupedDoaMatching:
         n = metrics._DOA_BLOCK + 500
         shapes = list(zip(rng.integers(0, 6, n), rng.integers(0, 6, n)))
         pred, ref = shaped_frames(rng, shapes)
-        metrics.doa_error_accumulate(pred, ref)
+        metrics.doa_error_accumulate(*tables(pred, ref))
         want = sorted((int(a), int(b)) for a, b in shapes if min(a, b) >= 2)
         assert sorted(calls) == want
         calls.clear()
         pred, ref = shaped_frames(rng, [(1, 5), (4, 1), (1, 1), (0, 3), (2, 0)] * 50)
-        metrics.doa_error_accumulate(pred, ref)
+        metrics.doa_error_accumulate(*tables(pred, ref))
         assert calls == []
 
     @pytest.mark.parametrize("n_pred, n_ref", [(1, 3), (3, 1), (2, 2), (4, 3)])
@@ -312,15 +342,34 @@ class TestGroupedDoaMatching:
         pred, ref = shaped_frames(rng, [(2, 3), (n_pred, n_ref), (0, 2)], p_none=0.0)
         pred[1][n_pred - 1] = np.array([0.0, np.nan, 1.0])
         with pytest.raises(NumericError):
-            metrics.doa_error_accumulate(pred, ref)
+            metrics.doa_error_accumulate(*tables(pred, ref))
         ref[1][0] = np.array([np.nan, 0.0, 0.0])
         pred[1][n_pred - 1] = unit_rows(rng, 1)[0]
         with pytest.raises(NumericError):
-            metrics.doa_error_accumulate(pred, ref)
+            metrics.doa_error_accumulate(*tables(pred, ref))
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(InputError):
-            metrics.doa_error_accumulate([{}] * 3, [{}] * 2)
+    def test_total_is_the_sum_of_block_slices(self):
+        # the DE total pools block totals in frame order, as when each
+        # _DOA_BLOCK slice of the annotations was matched on its own; the
+        # criterion 5 figure is pooled this way, so it must not drift
+        rng = np.random.default_rng(19)
+        n = 2 * metrics._DOA_BLOCK + 37
+        cases = [shaped_frames(rng, zip(rng.integers(0, 7, n), rng.integers(0, 4, n)))]
+        for t_len in (n, 3 * metrics._DOA_BLOCK):
+            sides = []
+            for _ in range(2):
+                act = rng.random((t_len, 4)) < 0.5
+                doa = np.tanh(rng.standard_normal((t_len, 12))).astype(np.float32)
+                doa.reshape(t_len, 4, 3)[rng.random((t_len, 4)) < 0.05] = 0.0
+                sides.append(metrics.doa_vectors_from_prediction(act, doa))
+            cases.append(sides)
+        pred, ref = cases[0]
+        cases.append((pred, ref[:metrics._DOA_BLOCK + 5]))  # unequal lengths
+        for pred, ref in cases:
+            total, pairs = metrics.doa_error_accumulate(*tables(pred, ref))
+            want_total, want_pairs = blockwise_doa(pred, ref)
+            assert pairs == want_pairs > 0
+            assert total.hex() == want_total.hex()
 
     def test_angle_matches_cross_formula(self):
         rng = np.random.default_rng(14)
@@ -341,8 +390,8 @@ class TestGroupedDoaMatching:
         # does not grow with the input
         rng = np.random.default_rng(15)
         n = 20000
-        pred, ref = shaped_frames(rng, zip(rng.integers(0, 7, n), rng.integers(0, 4, n)),
-                                  p_none=0.05)
+        pred, ref = tables(*shaped_frames(rng, zip(rng.integers(0, 7, n), rng.integers(0, 4, n)),
+                                          p_none=0.05))
         peak = traced_peak(metrics.doa_error_accumulate, pred, ref).peak
         print(f"doa_error_accumulate peak over {n} frames: {peak / 2 ** 20:.2f} MiB")
         assert peak < 1.25 * 2 ** 20  # about twice the measured 0.64 MiB
@@ -448,33 +497,32 @@ class TestAnnotationActivity:
     def test_class_out_of_range_is_named(self):
         ann = [{0: None}, {}, {2: None, 4: None, 7: None}]
         with pytest.raises(DataError, match="class_id 4 out of range"):
-            metrics.annotation_activity(ann, 4)
+            evaluate(ann, ann, 4)
 
     @pytest.mark.parametrize("bad", [-1, -5, 3])
     def test_class_outside_zero_to_n_classes_is_named(self, bad):
         # -1 would index class 2 from the end, -5 lies past the front
         ann = [{0: None}, {1: None, bad: None}, {-2: None}]
         with pytest.raises(DataError, match=f"class_id {bad} out of range"):
-            metrics.annotation_activity(ann, 3)
+            evaluate(ann, ann, 3)
 
     def test_matches_per_frame_loop(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             ann, _, n_classes, _ = random_metric_case(rng, max_classes=11, max_sources=6)
-            want = np.zeros((len(ann), n_classes), bool)
-            for t, frame in enumerate(ann):
-                for c in frame:
-                    want[t, c] = True
-            assert np.array_equal(metrics.annotation_activity(ann, n_classes), want)
+            rows = metrics.rows_from_annotations(ann)
+            assert np.array_equal(
+                metrics._activity(rows.frame, rows.class_id, rows.n_frames, n_classes),
+                oracle_activity(ann, n_classes))
 
     def test_too_many_cells_is_data_error(self):
         # 2**20 + 1 frames x 1024 classes is 4x the cell limit; the check
         # comes before the (frames, classes) allocation
-        ann = [dict() for _ in range(2 ** 20)] + [{1023: None}]
+        rows = metrics.rows_from_annotations([dict() for _ in range(2 ** 20)] + [{1023: None}])
         with pytest.raises(DataError, match="activity cells"):
-            metrics.annotation_activity(ann, 1024)
+            metrics._activity(rows.frame, rows.class_id, rows.n_frames, 1024)
         with pytest.raises(DataError, match="activity cells"):
-            metrics.evaluate_annotations(ann, ann, 1024, 50)
+            metrics.evaluate_rows(rows, rows, 1024, 50)
 
 
 class TestOracleDuels:
@@ -482,10 +530,9 @@ class TestOracleDuels:
         rng = np.random.default_rng(4)
         for _ in range(60):
             pred_ann, ref_ann, n_classes, fps = random_metric_case(rng)
-            pred = metrics.annotation_activity(pred_ann, n_classes)
-            ref = metrics.annotation_activity(ref_ann, n_classes)
-            counts = metrics.segment_counts(pred, ref, fps)
-            er_o, f1_o = oracle_segment_er_f1(pred, ref, fps)
+            counts = evaluate(pred_ann, ref_ann, n_classes, fps).counts
+            er_o, f1_o = oracle_segment_er_f1(oracle_activity(pred_ann, n_classes),
+                                              oracle_activity(ref_ann, n_classes), fps)
             if er_o is None:
                 assert counts.er is None
             else:
@@ -502,8 +549,8 @@ class TestOracleDuels:
         # oracle's permutation search
         cases.append(random_metric_case(np.random.default_rng(8), max_classes=7,
                                         max_segments=5, max_sources=7))
-        for pred_ann, ref_ann, _, _ in cases:
-            mine = metrics.doa_error(pred_ann, ref_ann)
+        for pred_ann, ref_ann, n_classes, fps in cases:
+            mine = evaluate(pred_ann, ref_ann, n_classes, fps).de
             oracle = oracle_doa_error(pred_ann, ref_ann)
             if oracle is None:
                 assert mine is None
@@ -514,9 +561,9 @@ class TestOracleDuels:
         rng = np.random.default_rng(6)
         a_p, a_r, _, _ = random_metric_case(rng)
         b_p, b_r, _, _ = random_metric_case(rng)
-        t1, n1 = metrics.doa_error_accumulate(a_p, a_r)
-        t2, n2 = metrics.doa_error_accumulate(b_p, b_r)
-        t, n = metrics.doa_error_accumulate(a_p + b_p, a_r + b_r)
+        t1, n1 = metrics.doa_error_accumulate(*tables(a_p, a_r))
+        t2, n2 = metrics.doa_error_accumulate(*tables(b_p, b_r))
+        t, n = metrics.doa_error_accumulate(*tables(a_p + b_p, a_r + b_r))
         assert n == n1 + n2
         assert t == pytest.approx(t1 + t2, abs=1e-9)
 
@@ -527,15 +574,16 @@ class TestCsvInterchange:
         ann, _, n_classes, _ = random_metric_case(rng)
         path = tmp_path / "pred.csv"
         metrics.write_prediction_csv(path, ann)
-        back, n_frames = metrics.read_prediction_csv(path)
-        assert n_frames <= len(ann)
-        for t in range(n_frames):
-            assert set(back[t]) == set(ann[t])
-            for c, v in ann[t].items():
-                if v is None:
-                    assert back[t][c] is None
-                else:
-                    assert np.allclose(back[t][c], v, atol=1e-9)
+        back = metrics.read_prediction_rows(path)
+        assert back.n_frames <= len(ann)
+        got = row_vectors(back)
+        want = {(t, c): v for t, frame in enumerate(ann[:back.n_frames]) for c, v in frame.items()}
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            if v is None:
+                assert got[key] is None
+            else:
+                assert np.allclose(got[key], v, atol=1e-9)
 
     @staticmethod
     def csv_module_writer(path, ann):
@@ -592,16 +640,18 @@ class TestCsvInterchange:
             lines.append(f"{n - 1},0,3.0,-4.0,12.0")  # a repeated key: the last row wins
             path = tmp_path / f"pred{case}.csv"
             path.write_text("\n".join(lines) + "\n")
-            got, n_got = metrics.read_prediction_csv(path)
+            got = metrics.read_prediction_rows(path)
             want, n_want = self.per_row_reader(path)
-            assert n_got == n_want == n
-            for g, w in zip(got, want):
-                assert g.keys() == w.keys()
-                for c in g:
-                    assert (g[c] is None) == (w[c] is None)
-                    if g[c] is not None:
-                        assert np.max(np.abs(g[c] - w[c])) < 1e-15
-            de_got, de_want = metrics.doa_error(got, ref), metrics.doa_error(want, ref)
+            assert got.n_frames == n_want == n
+            got_v = row_vectors(got)
+            assert list(got_v) == [(t, c) for t, w in enumerate(want) for c in w]
+            for (t, c), g in got_v.items():
+                w = want[t][c]
+                assert (g is None) == (w is None)
+                if g is not None:
+                    assert np.max(np.abs(g - w)) < 1e-15
+            de_got = metrics.evaluate_rows(got, *tables(ref), 4, 4).de
+            de_want = evaluate(want, ref, 4, 4).de
             assert (de_got is None) == (de_want is None)
             if de_got is not None:
                 assert abs(de_got - de_want) < 1e-12
@@ -610,24 +660,24 @@ class TestCsvInterchange:
         path = tmp_path / "two_bad.csv"
         path.write_text("frame_index,class_id,x,y,z\n0,0,1,0,0\n3,1,nan,0,0\n2,2,inf,0,0\n")
         with pytest.raises(DataError, match="frame 3, class 1 "):
-            metrics.read_prediction_csv(path)
+            metrics.read_prediction_rows(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,0,1,0,0\n")
         with pytest.raises(FormatError):
-            metrics.read_prediction_csv(path)
+            metrics.read_prediction_rows(path)
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text("frame_index,class_id,x,y,z\n0,zero,1,0,0\n")
         with pytest.raises(FormatError):
-            metrics.read_prediction_csv(path)
+            metrics.read_prediction_rows(path)
 
     @pytest.mark.parametrize("body, error", [
         (b"0,0,1,0,0\xff\n", FormatError),          # not UTF-8
         (b"0,99999999999,1,0,0\n", DataError),       # would size a 93 GiB activity matrix
-        (b"99999999999,0,1,0,0\n", DataError),       # would size a 10**11-frame list
+        (b"99999999999,0,1,0,0\n", DataError),       # would span 10**11 frames
         (b"0,0,nan,0,0\n", DataError),               # no usable direction
         (b"0,0,1e308,1e308,0\n", DataError),         # length overflows
     ])
@@ -638,7 +688,7 @@ class TestCsvInterchange:
         def read():
             t0 = time.perf_counter()
             with pytest.raises(error):
-                metrics.read_prediction_csv(path)
+                metrics.read_prediction_rows(path)
             return time.perf_counter() - t0
 
         elapsed, peak, _ = traced_peak(read)
@@ -671,13 +721,24 @@ class TestCsvInterchange:
     @staticmethod
     def parse_or_seld_error(path):
         try:
-            ann, n_frames = metrics.read_prediction_csv(path)
+            rows = metrics.read_prediction_rows(path)
         except SeldError:
             return
-        assert len(ann) == n_frames
-        for frame in ann:
-            for v in frame.values():
-                assert v is None or abs(np.linalg.norm(v) - 1.0) < 1e-9
+        assert np.all(rows.frame < rows.n_frames)
+        assert np.all(np.abs(np.linalg.norm(rows.doa[rows.usable], axis=1) - 1.0) < 1e-9)
+
+
+def row_vectors(rows):
+    """An event table as {(frame, class): unit vector, or None where not usable}, in row order."""
+    return {(t, c): v if ok else None
+            for t, c, v, ok in zip(rows.frame.tolist(), rows.class_id.tolist(), rows.doa,
+                                   rows.usable.tolist())}
+
+
+def reference_image(path):
+    """reference_csv's reading of a prediction CSV, as a rows image."""
+    ann, _ = reference_csv.read_prediction_csv(path)
+    return reference_csv.rows_image(metrics.rows_from_annotations(ann))
 
 
 def dense_prediction_lines(rng, n_frames, n_classes=11, max_active=6):
@@ -698,7 +759,7 @@ NON_BMP = ["\U000e1a3a", "\U000df4bd", "\U00050000", "\U0010ffff"]
 _READ_BOTH = """
 import sys
 from seldkit import metrics, synth
-for read, path in ((metrics.read_prediction_csv, sys.argv[1]),
+for read, path in ((metrics.read_prediction_rows, sys.argv[1]),
                    (synth.read_annotation_csv, sys.argv[2])):
     try:
         read(path)
@@ -713,9 +774,8 @@ class TestLoadtxtReader:
 
     @staticmethod
     def assert_same_annotations(path):
-        got = reference_csv.annotation_bytes(*metrics.read_prediction_csv(path))
-        want = reference_csv.annotation_bytes(*reference_csv.read_prediction_csv(path))
-        assert got == want
+        got = reference_csv.rows_image(metrics.read_prediction_rows(path))
+        assert got == reference_image(path)
 
     def test_matches_csv_module_on_metric_cases(self, tmp_path):
         rng = np.random.default_rng(101)
@@ -740,14 +800,15 @@ class TestLoadtxtReader:
                          b"3,1,0,0,0\n"          # a repeated key: the last row wins
                          b"1,2,0.1,0.2,0.3")      # no final newline
         self.assert_same_annotations(path)
-        ann, n_frames = metrics.read_prediction_csv(path)
-        assert n_frames == 8 and ann[3][1] is None
+        rows = metrics.read_prediction_rows(path)
+        assert rows.n_frames == 8 and row_vectors(rows)[3, 1] is None
 
     def test_empty_body_parses_without_warning(self, tmp_path, recwarn):
         path = tmp_path / "empty.csv"
         for body in ("", "\n\n"):
             path.write_text(",".join(metrics.CSV_HEADER) + "\n" + body)
-            assert metrics.read_prediction_csv(path) == ([], 0)
+            rows = metrics.read_prediction_rows(path)
+            assert rows.n_frames == 0 and rows.frame.size == 0
         assert not recwarn.list
 
     HOSTILE = [
@@ -774,13 +835,13 @@ class TestLoadtxtReader:
         with pytest.raises(SeldError) as want:
             reference_csv.read_prediction_csv(path)
         with pytest.raises(want.type):
-            metrics.read_prediction_csv(path)
+            metrics.read_prediction_rows(path)
 
     @pytest.mark.parametrize("text", ["0,0,1,0,0\n", "frame_index;class_id;x;y;z\n", ""])
     def test_wrong_header_same_error_class(self, tmp_path, text):
         path = tmp_path / "header.csv"
         path.write_text(text)
-        for read in (reference_csv.read_prediction_csv, metrics.read_prediction_csv):
+        for read in (reference_csv.read_prediction_csv, metrics.read_prediction_rows):
             with pytest.raises(FormatError):
                 read(path)
 
@@ -796,7 +857,7 @@ class TestLoadtxtReader:
         path = tmp_path / "narrow.csv"
         path.write_text("frame_index,class_id,x,y,z\n" + body, encoding="utf-8")
         with pytest.raises(FormatError):
-            metrics.read_prediction_csv(path)
+            metrics.read_prediction_rows(path)
 
     def test_malformed_row_reported_before_earlier_range_violation(self, tmp_path):
         path = tmp_path / "both.csv"
@@ -804,7 +865,7 @@ class TestLoadtxtReader:
         with pytest.raises(DataError):
             reference_csv.read_prediction_csv(path)
         with pytest.raises(FormatError):
-            metrics.read_prediction_csv(path)
+            metrics.read_prediction_rows(path)
 
     ASCII_FIELDS = st.one_of(
         st.integers(-3, 40).map(str),
@@ -825,11 +886,11 @@ class TestLoadtxtReader:
         text = "frame_index,class_id,x,y,z\n" + "".join(",".join(r) + "\n" for r in rows)
         path.write_bytes(text.encode("ascii"))
         try:
-            want = reference_csv.annotation_bytes(*reference_csv.read_prediction_csv(path))
+            want = reference_image(path)
         except SeldError:
             want = None
         try:
-            got = reference_csv.annotation_bytes(*metrics.read_prediction_csv(path))
+            got = reference_csv.rows_image(metrics.read_prediction_rows(path))
         except SeldError:
             got = None
         if got is not None:
@@ -838,14 +899,15 @@ class TestLoadtxtReader:
             assert "_" in text or '"' in text
 
     def test_transient_memory_of_a_dense_read(self, tmp_path):
-        # the csv-module reader peaked at 1.96x what its result retains
-        # (Python tuples per row); the loadtxt reader at about 1.5x
+        # the csv-module reader peaked at 1.96x what its frame dicts retained
+        # (Python tuples per row); the table reader peaks at about 1.4x its
+        # table, whose columns are views of the parsed array
         lines = dense_prediction_lines(np.random.default_rng(11), 18_600)
         assert len(lines) > 55_000
         path = tmp_path / "dense.csv"
         path.write_text(",".join(metrics.CSV_HEADER) + "\n" + "\n".join(lines) + "\n")
-        result, peak, retained = traced_peak(metrics.read_prediction_csv, path)
-        assert result[1] == 18_600
+        result, peak, retained = traced_peak(metrics.read_prediction_rows, path)
+        assert result.n_frames == 18_600
         assert peak < 1.75 * retained
 
     @pytest.mark.parametrize("column", [0, 2])
@@ -871,7 +933,7 @@ class TestLoadtxtReader:
 class TestEvaluateAnnotations:
     def test_perfect_report(self):
         ann = [{0: np.array([1.0, 0, 0])}, {}, {1: np.array([0, 1.0, 0])}]
-        rep = metrics.evaluate_annotations(ann, ann, n_classes=2, frames_per_segment=2)
+        rep = evaluate(ann, ann, n_classes=2, frames_per_segment=2)
         assert rep.er == 0.0 and rep.f1 == 1.0
         assert rep.fr == 100.0 and rep.de == 0.0
 
@@ -907,29 +969,26 @@ class TestEventRows:
         rows = [metrics.read_prediction_rows(d / name) for name in ("p.csv", "r.csv")]
         anns = []
         for name, side in zip(("p.csv", "r.csv"), rows):
-            ann, n_frames = metrics.read_prediction_csv(d / name)
-            assert n_frames == side.n_frames
-            # one row per dict entry, in the dicts' iteration order
-            assert [(t, c) for t, frame in enumerate(ann) for c in frame] == list(
-                zip(side.frame.tolist(), side.class_id.tolist()))
-            assert (reference_csv.annotation_bytes(ann, n_frames)
-                    == reference_csv.annotation_bytes(*reference_csv.read_prediction_csv(d / name)))
+            # one row per reference dict entry, in the dicts' iteration order
+            ann, _ = reference_csv.read_prediction_csv(d / name)
+            assert reference_csv.rows_image(side) == reference_csv.rows_image(
+                metrics.rows_from_annotations(ann))
             anns.append(ann)
         n_frames = max(len(ann) for ann in anns)
         pred_ann, ref_ann = (ann + [dict() for _ in range(n_frames - len(ann))] for ann in anns)
         n_classes = 1 + max((c for ann in (pred_ann, ref_ann) for frame in ann for c in frame),
                             default=0)
+        padded = tables(pred_ann, ref_ann)
         if n_frames == 0:  # both sides empty
-            for evaluate, args in ((metrics.evaluate_rows, rows),
-                                   (metrics.evaluate_annotations, (pred_ann, ref_ann))):
+            for args in (rows, padded):
                 with pytest.raises(InputError, match="zero frames"):
-                    evaluate(*args, n_classes, fps)
+                    metrics.evaluate_rows(*args, n_classes, fps)
             return
+        # tables of different lengths score as if padded with empty frames
         got = metrics.evaluate_rows(*rows, n_classes, fps)
-        assert report_image(got) == report_image(
-            metrics.evaluate_annotations(pred_ann, ref_ann, n_classes, fps))
-        # the blockwise dict matcher and a per-frame count agree bit for bit
-        total, pairs = metrics.doa_error_accumulate(pred_ann, ref_ann)
+        assert report_image(got) == report_image(metrics.evaluate_rows(*padded, n_classes, fps))
+        # the table matcher and the per-slice sum agree bit for bit
+        total, pairs = blockwise_doa(pred_ann, ref_ann)
         assert pairs == got.n_matched_pairs
         assert report_image(got)[3] == (None if pairs == 0 else (total / pairs).hex())
         hits = sum(len(p) == len(r) for p, r in zip(pred_ann, ref_ann))
@@ -945,6 +1004,11 @@ class TestEventRows:
         assert rows.class_id.tolist() == [1, 3, 0]
         assert rows.usable.tolist() == [False, True, False]
         assert rows.doa[1].tolist() == [0.0, 1.0, 0.0]
+        # a repeat that does not break ascending file order
+        write_rows(path, [(0, 1, (1, 0, 0)), (0, 1, (0, 0, 2)), (1, 0, (0, 3, 0))])
+        rows = metrics.read_prediction_rows(path)
+        assert rows.frame.tolist() == [0, 1] and rows.class_id.tolist() == [1, 0]
+        assert rows.doa.tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 
     def test_dense_rows_match_annotations(self, tmp_path):
         # more than two _DOA_BLOCK blocks, shaped like the dense eval benchmark
@@ -955,12 +1019,12 @@ class TestEventRows:
             paths.append(tmp_path / name)
             paths[-1].write_text(",".join(metrics.CSV_HEADER) + "\n" + "\n".join(lines) + "\n")
         got = metrics.evaluate_rows(*map(metrics.read_prediction_rows, paths), 11, 62)
-        pred_ann, ref_ann = (metrics.read_prediction_csv(p)[0] for p in paths)
+        pred_ann, ref_ann = (reference_csv.read_prediction_csv(p)[0] for p in paths)
         n_frames = max(len(pred_ann), len(ref_ann))
         for ann in (pred_ann, ref_ann):
             ann += [dict() for _ in range(n_frames - len(ann))]
-        want = metrics.evaluate_annotations(pred_ann, ref_ann, 11, 62)
+        want = metrics.evaluate_rows(*tables(pred_ann, ref_ann), 11, 62)
         assert report_image(got) == report_image(want)
-        total, pairs = metrics.doa_error_accumulate(pred_ann, ref_ann)
+        total, pairs = blockwise_doa(pred_ann, ref_ann)
         assert got.n_matched_pairs == pairs > 0
         assert got.de == total / pairs

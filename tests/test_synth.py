@@ -491,7 +491,8 @@ class TestFrameTargets:
         sed, doa = synth.frame_targets(events, n_frames=50, hop_s=0.06, n_sed=2)
         activity = metrics.binarize_sed(sed, 0.5)
         ann = metrics.doa_vectors_from_prediction(activity, doa)
-        report = metrics.evaluate_annotations(ann, ann, n_classes=2, frames_per_segment=16)
+        rows = metrics.rows_from_annotations(ann)
+        report = metrics.evaluate_rows(rows, rows, n_classes=2, frames_per_segment=16)
         assert report.er == 0.0 and report.f1 == 1.0
         assert report.fr == 100.0 and report.de == 0.0
 
