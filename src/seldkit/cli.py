@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, metrics, models, synth
-from .errors import InputError, SeldError, check_seed
+from .errors import ConfigError, InputError, SeldError, check_seed
 
 FEATURE_CSV_HEADER = ["feature_channel", "frame", "bin", "value"]
 _FEATURE_CSV_BLOCK_ROWS = 65536
@@ -64,9 +64,9 @@ def cmd_synth(args):
 def cmd_train(args):
     cfg, extras = models.load_config(args.config)
     if "dataset_dir" not in extras:
-        raise SeldError(f"{args.config}: missing dataset_dir")
+        raise ConfigError(f"{args.config}: missing dataset_dir")
     if "sample_rate_hz" not in extras:
-        raise SeldError(f"{args.config}: missing sample_rate_hz")
+        raise ConfigError(f"{args.config}: missing sample_rate_hz")
     sample_rate = extras["sample_rate_hz"]
     dataset_dir = Path(extras["dataset_dir"])
     if not dataset_dir.is_absolute():
@@ -361,10 +361,7 @@ def main(argv=None):
         parser.error("--warmup must be at least 0")
     try:
         return args.func(args)
-    except SeldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SeldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

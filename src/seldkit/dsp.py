@@ -58,10 +58,6 @@ class AudioClip:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
 
 @dataclass
 class FeatureTensor:
@@ -74,16 +70,8 @@ class FeatureTensor:
     values: np.ndarray
 
     @property
-    def n_feature_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_frames(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass

@@ -6,13 +6,15 @@ event count matches the reference) and DOA error (DE, mean angular distance
 in degrees over optimally matched event pairs) for localization.
 
 Scoring takes `EventRows` tables, one row per (frame, class) event as flat
-arrays: `read_prediction_rows` reads one from the interchange CSV and
-`evaluate_rows` scores two of them, which is what `seld eval` does. A model's
-output becomes frame annotations, lists with one dict per frame mapping
-class_id to a unit DOA vector, or to None for an event whose direction is
-unusable (it still counts toward frame cardinality but never enters angle
-matching); `write_prediction_csv` writes them and `rows_from_annotations`
-turns them into a table.
+arrays in ascending (frame, class) order: `read_prediction_rows` reads one
+from the interchange CSV and `evaluate_rows` scores two of them, which is
+what `seld eval` does. A table holds a set of events, so the order of a
+file's rows never changes a score. A model's output becomes frame
+annotations, lists with one dict per frame mapping class_id to a unit DOA
+vector, or to None for an event whose direction is unusable (it still
+counts toward frame cardinality but never enters angle matching);
+`write_prediction_csv` writes them and `rows_from_annotations` turns them
+into a table.
 """
 
 from __future__ import annotations
@@ -50,11 +52,11 @@ def binarize_sed(sed, threshold=0.5):
 class EventRows:
     """One annotation table as flat arrays, one row per (frame, class) event.
 
-    Rows are sorted by frame. Within a frame they keep the order in which
-    each class first appears: in the file for read_prediction_rows, in the
-    frame's dict for rows_from_annotations. `doa` is float64 (N, 3): a unit
-    vector where `usable`, elsewhere the raw triple of a direction without
-    a positive length. `n_frames` is the number of frames the table spans.
+    Rows strictly ascend by (frame, class), so no key repeats: every
+    producer emits this order and the scorers rely on it. `doa` is float64
+    (N, 3): a unit vector where `usable`, elsewhere the raw triple of a
+    direction without a positive length. `n_frames` is the number of frames
+    the table spans.
     """
 
     frame: np.ndarray     # (N,) int
@@ -95,10 +97,12 @@ def _annotations(rows):
 
 
 def rows_from_annotations(ann):
-    """The event table of frame annotations; vectors are taken as they are."""
+    """The event table of frame annotations, each frame's classes in ascending
+    order; vectors are taken as they are."""
+    classes = [sorted(f) for f in ann]
     frame = np.repeat(np.arange(len(ann)), np.fromiter(map(len, ann), np.intp, len(ann)))
-    class_id = np.fromiter(chain.from_iterable(ann), np.intp, len(frame))
-    vecs = [v for f in ann for v in f.values()]
+    class_id = np.fromiter(chain.from_iterable(classes), np.intp, len(frame))
+    vecs = [f[c] for f, cs in zip(ann, classes) for c in cs]
     usable = np.fromiter((v is not None for v in vecs), bool, len(vecs))
     doa = np.zeros((len(vecs), 3))
     doa[usable] = np.array([v for v in vecs if v is not None], np.float64).reshape(-1, 3)
@@ -423,34 +427,28 @@ _PREDICTION_ROW = np.dtype([("t", "<i8"), ("c", "<i8"), ("v", "<f8", 3)])
 
 
 def _kept_rows(t, c):
-    """Index of the rows a frame dict keeps, in its iteration order.
-
-    Each (frame, class) keeps its last row, placed by frame and then by the
-    key's first row, as assigning the rows to one dict per frame in file
-    order does. Rows whose keys ascend, as write_prediction_csv writes
-    them, are all kept in file order: the index is then a slice, so taking
-    them copies nothing.
+    """Index of the rows an event table keeps: the last row of each (frame,
+    class) key, in ascending key order. Rows whose keys already strictly
+    ascend, as write_prediction_csv writes them, are all kept: the index is
+    then a slice, so taking them copies nothing.
     """
     key = t * MAX_CLASSES + c  # one key per (frame, class): c < MAX_CLASSES
     if np.all(key[1:] > key[:-1]):
         return slice(None)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.ones(len(key), bool)
-    first[1:] = key[1:] != key[:-1]
     last = np.ones(len(key), bool)
-    last[:-1] = first[1:]
-    first_row = order[first]
-    return order[last][np.lexsort((first_row, t[first_row]))]
+    last[:-1] = key[1:] != key[:-1]
+    return order[last]
 
 
 def read_prediction_rows(path) -> EventRows:
     """Read interchange CSV into an event table.
 
+    Rows come back in ascending (frame, class) order, one per key, whatever
+    the file's row order; a repeated key keeps its last row's vector.
     n_frames is one past the largest frame index present. Zero vectors are
-    not usable (direction unknown); all other vectors are normalized. A
-    repeated (frame, class) keeps its first row's place and its last row's
-    vector.
+    not usable (direction unknown); all other vectors are normalized.
     A cell that is not a plain ASCII number is a FormatError: quoted cells,
     digit separators such as 1_0, non-ASCII digits and any non-ASCII byte.
     Negative indices, indices beyond MAX_FRAMES or MAX_CLASSES and vectors

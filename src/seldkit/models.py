@@ -274,7 +274,7 @@ class SeldModel:
         self.bn_states: dict[str, nn.BatchNormState] = {}
         self.feature_mean = None
         self.feature_std = None
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng((seed, 1))  # dropout draws apart from init's
         self._init_params(np.random.default_rng(seed))
 
     # -- construction -------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from seldkit import cli, dsp, metrics, models, synth
+from seldkit.errors import ConfigError
 from traced_memory import traced_peak
 
 
@@ -181,6 +182,31 @@ class TestTrainCommand:
         rc = run_cli("train", "--config", bad, "--out", tmp_path / "w.seldw")
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["dataset_dir", "sample_rate_hz"])
+    def test_missing_config_key_is_config_error(self, tiny_train_cfg, tmp_path, capsys, key):
+        cfg, extras = models.load_config(tiny_train_cfg)
+        config = tmp_path / "partial.cfg"
+        models.save_config(config, cfg, {k: v for k, v in extras.items() if k != key})
+        args = cli.build_parser().parse_args(["train", "--config", str(config),
+                                              "--out", str(tmp_path / "w.seldw")])
+        with pytest.raises(ConfigError, match=f"missing {key}"):
+            args.func(args)
+        assert run_cli("train", "--config", config, "--out", tmp_path / "w.seldw") == 1
+        assert f"missing {key}" in capsys.readouterr().err
+
+    def test_relative_dataset_dir_resolves_against_config(self, tiny_train_cfg, dataset_dir,
+                                                          tmp_path, monkeypatch):
+        copy, _ = dataset_copy(dataset_dir, tiny_train_cfg, tmp_path)
+        cfg, extras = models.load_config(tiny_train_cfg)
+        config = tmp_path / "relative.cfg"
+        models.save_config(config, cfg, dict(extras, dataset_dir=copy.name))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)  # the working directory holds no dataset
+        out = tmp_path / "w.seldw"
+        assert run_cli("train", "--config", config, "--out", out, "--epochs", 1) == 0
+        assert models.load_config(f"{out}.cfg")[1]["dataset_dir"] == copy.name
 
     @pytest.mark.parametrize("row", [b"1.0,2.0,0,10.0,0.0\xff", b"0.5,1.5,-1,10.0,0.0",
                                      b"nan,1.5,0,10.0,0.0"])

@@ -1,6 +1,8 @@
 """Metric tests: worked examples, invariants, and brute-force oracle duels."""
 
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import reference_csv
-from seldkit import metrics, synth
+from seldkit import cli, metrics, synth
 from seldkit.errors import DataError, FormatError, InputError, NumericError, SeldError
 from oracle_metrics import (oracle_activity, oracle_doa_error, oracle_segment_er_f1,
                             random_metric_case)
@@ -644,7 +646,7 @@ class TestCsvInterchange:
             want, n_want = self.per_row_reader(path)
             assert got.n_frames == n_want == n
             got_v = row_vectors(got)
-            assert list(got_v) == [(t, c) for t, w in enumerate(want) for c in w]
+            assert list(got_v) == [(t, c) for t, w in enumerate(want) for c in sorted(w)]
             for (t, c), g in got_v.items():
                 w = want[t][c]
                 assert (g is None) == (w is None)
@@ -969,10 +971,11 @@ class TestEventRows:
         rows = [metrics.read_prediction_rows(d / name) for name in ("p.csv", "r.csv")]
         anns = []
         for name, side in zip(("p.csv", "r.csv"), rows):
-            # one row per reference dict entry, in the dicts' iteration order
+            # one row per reference dict entry, in ascending (frame, class) order
             ann, _ = reference_csv.read_prediction_csv(d / name)
-            assert reference_csv.rows_image(side) == reference_csv.rows_image(
-                metrics.rows_from_annotations(ann))
+            from_ann = metrics.rows_from_annotations(ann)
+            assert keys_ascend(side) and keys_ascend(from_ann)
+            assert reference_csv.rows_image(side) == reference_csv.rows_image(from_ann)
             anns.append(ann)
         n_frames = max(len(ann) for ann in anns)
         pred_ann, ref_ann = (ann + [dict() for _ in range(n_frames - len(ann))] for ann in anns)
@@ -994,16 +997,16 @@ class TestEventRows:
         hits = sum(len(p) == len(r) for p, r in zip(pred_ann, ref_ann))
         assert got.fr == 100.0 * hits / n_frames
 
-    def test_rows_keep_first_place_and_last_vector(self, tmp_path):
+    def test_rows_ascend_and_keep_last_vector(self, tmp_path):
         path = tmp_path / "p.csv"
         write_rows(path, [(2, 3, (1, 0, 0)), (0, 1, (0, 0, 2)), (2, 0, (0, 0, 0)),
                           (2, 3, (0, 3, 0)), (0, 1, (0, 0, 0))])
         rows = metrics.read_prediction_rows(path)
         assert rows.n_frames == 3
         assert rows.frame.tolist() == [0, 2, 2]
-        assert rows.class_id.tolist() == [1, 3, 0]
-        assert rows.usable.tolist() == [False, True, False]
-        assert rows.doa[1].tolist() == [0.0, 1.0, 0.0]
+        assert rows.class_id.tolist() == [1, 0, 3]
+        assert rows.usable.tolist() == [False, False, True]
+        assert rows.doa[2].tolist() == [0.0, 1.0, 0.0]
         # a repeat that does not break ascending file order
         write_rows(path, [(0, 1, (1, 0, 0)), (0, 1, (0, 0, 2)), (1, 0, (0, 3, 0))])
         rows = metrics.read_prediction_rows(path)
@@ -1028,3 +1031,52 @@ class TestEventRows:
         total, pairs = blockwise_doa(pred_ann, ref_ann)
         assert got.n_matched_pairs == pairs > 0
         assert got.de == total / pairs
+
+
+def keys_ascend(rows):
+    """Whether an event table's (frame, class) keys strictly ascend."""
+    key = rows.frame * metrics.MAX_CLASSES + rows.class_id
+    return bool(np.all(key[1:] > key[:-1]))
+
+
+class TestCanonicalOrder:
+    @staticmethod
+    def seld_eval(pred, ref, out):
+        """(exit code, stdout, stderr, report bytes) of `seld eval --out`."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(["eval", "--pred", str(pred), "--ref", str(ref), "--sr", "16000",
+                           "--hop", "4000", "--out", str(out)])
+        report = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return rc, stdout.getvalue(), stderr.getvalue(), report
+
+    @staticmethod
+    def random_events(rng):
+        """Distinct (frame, class, xyz) rows in ascending key order: up to 6
+        events a frame, so frames of 2x2 and larger sum several angles."""
+        keys = [(t, c) for t in range(int(rng.integers(0, 9))) for c in range(6)
+                if rng.random() < 0.5]
+        v = rng.standard_normal((len(keys), 3))
+        v[rng.random(len(keys)) < 0.05] = 0.0
+        return [(t, c, tuple(x)) for (t, c), x in zip(keys, v.tolist())]
+
+    def test_row_order_never_changes_the_report(self, tmp_path):
+        rng = np.random.default_rng(50)
+        out = tmp_path / "report.txt"
+        for case in range(150):
+            sides = [self.random_events(rng) for _ in range(2)]
+            results = []
+            for name in ("sorted", "shuffled"):
+                paths = [tmp_path / f"{name}_{side}.csv" for side in ("p", "r")]
+                for path, rows in zip(paths, sides):
+                    if name == "shuffled":
+                        rows = [rows[i] for i in rng.permutation(len(rows))]
+                    write_rows(path, rows)
+                tables_read = [metrics.read_prediction_rows(path) for path in paths]
+                assert all(map(keys_ascend, tables_read))
+                image = None
+                if max(t.n_frames for t in tables_read):
+                    image = report_image(metrics.evaluate_rows(*tables_read, 6, 4))
+                results.append((self.seld_eval(*paths, out), image))
+            assert results[0] == results[1], case

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seldkit import models, nn, synth
+from seldkit import dsp, models, nn, synth
 from seldkit.errors import (
     ConfigError,
     DataError,
@@ -329,6 +329,15 @@ class TestBuildAndForward:
         b = models.build_model(cfg, "seldtcn", seed=5)
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
+
+    def test_fallback_dropout_stream_is_not_the_init_stream(self):
+        # a train-mode forward without a generator draws its dropout masks
+        # from the model's own stream, which must not replay the uniforms
+        # that drew the weights
+        for seed in (0, 3, 7):
+            model = models.build_model(tiny_cfg(), "seldtcn", seed=seed)
+            init = np.random.default_rng(seed).random(64)
+            assert not np.isin(model._rng.random(64), init).any()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -802,6 +811,26 @@ class TestDatasetLoading:
         assert seq.features.shape == (8, 16, 256)
         assert seq.sed.shape == (16, 2)
         assert seq.doa.shape == (16, 6)
+
+    def test_resamples_to_the_config_rate(self, tmp_path):
+        synth.make_dataset(5, 2, tmp_path, seed=4, duration_s=2.0, sample_rate_hz=16000)
+        cfg = tiny_cfg(n_feature_channels=8, n_bins=256, seq_len=16)
+        ds = models.load_sequence_dataset(tmp_path, cfg, 8000)
+        want = {split: [] for split in synth.SPLITS}
+        for split, clip, events in synth.read_dataset(tmp_path):
+            assert clip.sample_rate_hz == 16000
+            feats = dsp.stft_features(dsp.resample(clip, 8000)).values
+            sed, doa = synth.frame_targets(events, feats.shape[1], dsp.HOP / 8000, cfg.n_sed)
+            for lo in range(0, feats.shape[1] - cfg.seq_len + 1, cfg.seq_len):
+                want[split].append((feats[:, lo:lo + cfg.seq_len], sed[lo:lo + cfg.seq_len],
+                                    doa[lo:lo + cfg.seq_len]))
+        for split in synth.SPLITS:
+            got = getattr(ds, split)
+            assert len(got) == len(want[split]) > 0
+            for seq, (features, sed, doa) in zip(got, want[split]):
+                assert np.array_equal(seq.features, features)
+                assert np.array_equal(seq.sed, sed)
+                assert np.array_equal(seq.doa, doa)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
