@@ -14,7 +14,8 @@ annotations, lists with one dict per frame mapping class_id to a unit DOA
 vector, or to None for an event whose direction is unusable (it still
 counts toward frame cardinality but never enters angle matching);
 `write_prediction_csv` writes them and `rows_from_annotations` turns them
-into a table.
+into a table. All four metrics read the tables' rows, so scoring memory
+follows the row count, never frames x classes.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from .errors import DataError, FormatError, InputError, NumericError
 
 CSV_HEADER = ["frame_index", "class_id", "x", "y", "z"]
 # read_prediction_rows bounds both indices while parsing, which keeps _kept_rows'
-# (frame, class) key and the activity size in range. 2**23 frames is about 37 h
-# at 62.5 frames/s (16 kHz, hop 256); SELD class sets have tens of classes.
+# (frame, class) key in range and doa_error_accumulate's block edges few. 2**23
+# frames is about 37 h at 62.5 frames/s (16 kHz, hop 256); SELD class sets have
+# tens of classes.
 MAX_FRAMES = 2 ** 23
 MAX_CLASSES = 1024
-# Evaluation's (frames, classes) activity matrices, 256 MiB of bool each; the
-# two index limits above would allow 2**33 cells.
-_MAX_ACTIVITY_CELLS = 2 ** 28
 
 
 def binarize_sed(sed, threshold=0.5):
@@ -109,22 +108,6 @@ def rows_from_annotations(ann):
     return EventRows(frame, class_id, doa, usable, len(ann))
 
 
-def _activity(frame, class_id, n_frames, n_classes):
-    """Boolean (n_frames, n_classes) activity of the events at (frame, class_id).
-
-    The cell limit and the class range are checked before it is allocated.
-    """
-    if n_frames * n_classes > _MAX_ACTIVITY_CELLS:
-        raise DataError(f"{n_frames} frames x {n_classes} classes exceeds the limit of "
-                        f"{_MAX_ACTIVITY_CELLS} activity cells")
-    out_of_range = np.flatnonzero((class_id < 0) | (class_id >= n_classes))
-    if out_of_range.size:
-        raise DataError(f"class_id {class_id[out_of_range[0]]} out of range (n_classes={n_classes})")
-    act = np.zeros((n_frames, n_classes), dtype=bool)
-    act[frame, class_id] = True
-    return act
-
-
 # ---------------------------------------------------------------------------
 # Segment ER / F1
 # ---------------------------------------------------------------------------
@@ -164,11 +147,11 @@ class SedCounts:
 
 
 def segment_counts(pred_activity, ref_activity, frames_per_segment) -> SedCounts:
-    """Accumulate segment-level TP/FP/FN and S/D/I counts.
+    """Segment-level TP/FP/FN and S/D/I counts of two (frames, classes) masks.
 
     A class is active in a segment if it is active in any frame of it; the
     trailing partial segment is kept. Per segment, S = min(FN, FP),
-    D = max(0, FN - FP), I = max(0, FP - FN).
+    D = max(0, FN - FP), I = max(0, FP - FN), counted as evaluate_rows counts.
     """
     pred = np.asarray(pred_activity, dtype=bool)
     ref = np.asarray(ref_activity, dtype=bool)
@@ -176,23 +159,32 @@ def segment_counts(pred_activity, ref_activity, frames_per_segment) -> SedCounts
         raise InputError(f"activity shapes differ: {pred.shape} vs {ref.shape}")
     if frames_per_segment < 1:
         raise InputError("frames_per_segment must be >= 1")
+    n_frames, n_classes = pred.shape
+    return _sed_counts(np.nonzero(pred), np.nonzero(ref), n_frames, n_classes,
+                       frames_per_segment)
 
-    if pred.shape[0] == 0:
-        return SedCounts()
-    starts = np.arange(0, pred.shape[0], frames_per_segment)
-    p = np.logical_or.reduceat(pred, starts, axis=0)
-    r = np.logical_or.reduceat(ref, starts, axis=0)
-    fp = np.count_nonzero(p & ~r, axis=1)
-    fn = np.count_nonzero(~p & r, axis=1)
-    return SedCounts(
-        tp=int(np.count_nonzero(p & r)),
-        fp=int(fp.sum()),
-        fn=int(fn.sum()),
-        s=int(np.minimum(fn, fp).sum()),
-        d=int(np.maximum(0, fn - fp).sum()),
-        i=int(np.maximum(0, fp - fn).sum()),
-        n_ref=int(np.count_nonzero(r)),
-    )
+
+def _sed_counts(pred, ref, n_frames, n_classes, frames_per_segment):
+    """SedCounts of two sets of events, each a (frames, class ids) pair of arrays.
+
+    Each event's (segment, class) pair is one int64 key, segment * n_classes
+    + class; only the keys present are sorted and compared, so memory follows
+    the event count. A key space past int64 is a DataError.
+    """
+    n_segments = -(-int(n_frames) // int(frames_per_segment))
+    if n_segments * int(n_classes) > np.iinfo(np.int64).max:
+        raise DataError(f"{n_segments} segments x {n_classes} classes overflow an int64 key")
+    p, r = (_runs(np.sort(frame // frames_per_segment * n_classes + class_id))[0]
+            for frame, class_id in (pred, ref))
+    fp_keys = np.setdiff1d(p, r, assume_unique=True)
+    fn_keys = np.setdiff1d(r, p, assume_unique=True)
+    fp_segments, fp = _runs(fp_keys // n_classes)
+    fn_segments, fn = _runs(fn_keys // n_classes)
+    _, i, j = np.intersect1d(fp_segments, fn_segments, assume_unique=True,
+                             return_indices=True)
+    s = int(np.minimum(fp[i], fn[j]).sum())
+    return SedCounts(tp=len(p) - len(fp_keys), fp=len(fp_keys), fn=len(fn_keys), s=s,
+                     d=len(fn_keys) - s, i=len(fp_keys) - s, n_ref=len(r))
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +340,17 @@ def evaluate_rows(pred, ref, n_classes, frames_per_segment) -> EvalReport:
     """Compute the full metric report from two event tables.
 
     Both are scored over the longer table's frames; the other's missing
-    frames are empty. The activity limits are checked before anything of
-    size frames x classes is allocated.
+    frames are empty. Every array it allocates is sized by the row count. A
+    class id outside [0, n_classes) is a DataError.
     """
     n_frames = max(pred.n_frames, ref.n_frames)
-    counts = segment_counts(_activity(pred.frame, pred.class_id, n_frames, n_classes),
-                            _activity(ref.frame, ref.class_id, n_frames, n_classes),
-                            frames_per_segment)
+    for rows in (pred, ref):
+        out_of_range = np.flatnonzero((rows.class_id < 0) | (rows.class_id >= n_classes))
+        if out_of_range.size:
+            raise DataError(f"class_id {rows.class_id[out_of_range[0]]} out of range "
+                            f"(n_classes={n_classes})")
+    counts = _sed_counts((pred.frame, pred.class_id), (ref.frame, ref.class_id), n_frames,
+                         n_classes, frames_per_segment)
     total, pairs = doa_error_accumulate(pred, ref)
     return EvalReport(
         er=counts.er,

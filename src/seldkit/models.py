@@ -145,7 +145,8 @@ def write_kv(path, pairs):
 
 
 def save_config(path, cfg: ModelConfig, extras=None):
-    """Write a config file that load_config reads back to (cfg, extras)."""
+    """Write a config file that load_config reads back to (cfg, extras); a value
+    holding `#` or a line break, or with surrounding whitespace, is a ConfigError."""
     pairs = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -156,6 +157,11 @@ def save_config(path, cfg: ModelConfig, extras=None):
         if key not in EXTRA_CONFIG_KEYS:
             raise ConfigError(f"unknown extra config key {key!r}")
         pairs.append((key, value))
+    for key, value in pairs:
+        text = str(value)
+        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+            raise ConfigError(f"config value {text!r} of {key!r} would not read back: "
+                              f"it holds '#' or a line break, or surrounding whitespace")
     write_kv(path, pairs)
 
 

@@ -505,12 +505,6 @@ class GradCheckReport:
     worst_index: int | None = None
     n_checked: int = 0
 
-    def __str__(self):
-        return (
-            f"grad check: max rel err {self.max_rel_err:.3e} over "
-            f"{self.n_checked} elements (worst: {self.worst_array}[{self.worst_index}])"
-        )
-
 
 def grad_check(loss_fn, arrays, analytic, h_rel=1e-5, scale_floor=1e-6,
                max_elements_per_array=None, rng=None):

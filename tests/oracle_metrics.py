@@ -49,6 +49,27 @@ def oracle_segment_er_f1(pred_activity, ref_activity, frames_per_segment):
     return er, f1
 
 
+def oracle_segment_counts(pred_activity, ref_activity, frames_per_segment):
+    """Every SedCounts field, by name, via per-segment set algebra."""
+    pred = np.asarray(pred_activity, dtype=bool)
+    ref = np.asarray(ref_activity, dtype=bool)
+    t_total, n_classes = pred.shape
+    counts = dict(tp=0, fp=0, fn=0, s=0, d=0, i=0, n_ref=0)
+    for lo in range(0, t_total, frames_per_segment):
+        hi = lo + frames_per_segment
+        p_set = {c for c in range(n_classes) if pred[lo:hi, c].any()}
+        r_set = {c for c in range(n_classes) if ref[lo:hi, c].any()}
+        seg_fp, seg_fn = len(p_set - r_set), len(r_set - p_set)
+        counts["tp"] += len(p_set & r_set)
+        counts["fp"] += seg_fp
+        counts["fn"] += seg_fn
+        counts["s"] += min(seg_fp, seg_fn)
+        counts["d"] += max(0, seg_fn - seg_fp)
+        counts["i"] += max(0, seg_fp - seg_fn)
+        counts["n_ref"] += len(r_set)
+    return counts
+
+
 def oracle_doa_error(pred_ann, ref_ann):
     """Mean matched angle via exhaustive permutation search; None if no pairs."""
     total = 0.0

@@ -697,3 +697,45 @@ class TestReverb:
         a = dsp.apply_reverb(clip, spec)
         b = dsp.apply_reverb(clip, spec)
         assert np.array_equal(a.samples, b.samples)
+
+
+def _const_clip(value=0.5, rate=8000):
+    return dsp.AudioClip(np.full((1, 80), value), rate)
+
+
+def _read_short_fmt_wav(tmp_path):
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 20) + b"WAVE"
+                     + b"fmt " + struct.pack("<I", 8) + bytes(8))
+    return dsp.read_wav(path)
+
+
+_NOISE_FILE = dict(kind="noise_file", snr_db=10.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda tmp: dsp.AugmentSpec(kind="echo"),
+                 InputError, "unknown augmentation kind", id="augment-kind"),
+    pytest.param(lambda tmp: dsp.AugmentSpec(kind="awgn", snr_db=float("nan")),
+                 InputError, "snr_db must be finite", id="augment-snr-nan"),
+    pytest.param(_read_short_fmt_wav, TruncatedFileError, "fmt chunk truncated",
+                 id="read-wav-short-fmt"),
+    pytest.param(lambda tmp: dsp.write_wav(tmp / "x.wav", _const_clip(), "pcm8"),
+                 InputError, "unknown encoding", id="write-wav-encoding"),
+    pytest.param(lambda tmp: dsp.resample(_const_clip(), 0),
+                 InputError, "target_hz must be positive", id="resample-zero-rate"),
+    pytest.param(lambda tmp: dsp.add_noise(_const_clip(), dsp.AugmentSpec(**_NOISE_FILE)),
+                 InputError, "requires a noise clip", id="noise-file-no-clip"),
+    pytest.param(lambda tmp: dsp.add_noise(_const_clip(), dsp.AugmentSpec(**_NOISE_FILE),
+                                           _const_clip(rate=16000)),
+                 InputError, "sample rate must match", id="noise-file-rate"),
+    pytest.param(lambda tmp: dsp.add_noise(_const_clip(), dsp.AugmentSpec(**_NOISE_FILE),
+                                           _const_clip(0.0)),
+                 DegenerateInputError, "noise power is zero", id="noise-file-silent"),
+    pytest.param(lambda tmp: dsp.apply_reverb(_const_clip(), dsp.AugmentSpec(kind="awgn")),
+                 InputError, "apply_reverb cannot apply", id="reverb-noise-spec"),
+])
+def test_library_raise_sites(tmp_path, call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call(tmp_path)
+    assert isinstance(exc.value, SeldError)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from scipy.optimize import linear_sum_assignment
 import reference_csv
 from seldkit import cli, metrics, synth
 from seldkit.errors import DataError, FormatError, InputError, NumericError, SeldError
-from oracle_metrics import (oracle_activity, oracle_doa_error, oracle_segment_er_f1,
-                            random_metric_case)
+from oracle_metrics import (oracle_activity, oracle_doa_error, oracle_segment_counts,
+                            oracle_segment_er_f1, random_metric_case)
 from traced_memory import traced_peak
 
 
@@ -510,21 +511,28 @@ class TestAnnotationActivity:
 
     def test_matches_per_frame_loop(self):
         rng = np.random.default_rng(16)
-        for _ in range(20):
-            ann, _, n_classes, _ = random_metric_case(rng, max_classes=11, max_sources=6)
-            rows = metrics.rows_from_annotations(ann)
-            assert np.array_equal(
-                metrics._activity(rows.frame, rows.class_id, rows.n_frames, n_classes),
-                oracle_activity(ann, n_classes))
+        for k in range(20):
+            pred_ann, ref_ann, n_classes, fps = random_metric_case(
+                rng, max_classes=11, max_sources=6, fps=1 + k)
+            counts = evaluate(pred_ann, ref_ann, n_classes, fps).counts
+            assert asdict(counts) == oracle_segment_counts(
+                oracle_activity(pred_ann, n_classes), oracle_activity(ref_ann, n_classes), fps)
 
-    def test_too_many_cells_is_data_error(self):
-        # 2**20 + 1 frames x 1024 classes is 4x the cell limit; the check
-        # comes before the (frames, classes) allocation
+    def test_many_cells_score_in_bounded_memory(self):
+        # 2**20 + 1 frames x 1024 classes is over 2**30 (frame, class) cells; the
+        # segments are counted from the one row
         rows = metrics.rows_from_annotations([dict() for _ in range(2 ** 20)] + [{1023: None}])
-        with pytest.raises(DataError, match="activity cells"):
-            metrics._activity(rows.frame, rows.class_id, rows.n_frames, 1024)
-        with pytest.raises(DataError, match="activity cells"):
-            metrics.evaluate_rows(rows, rows, 1024, 50)
+        report, peak, _ = traced_peak(metrics.evaluate_rows, rows, rows, 1024, 50)
+        assert (report.er, report.f1, report.fr) == (0.0, 1.0, 100.0)
+        assert report.counts == metrics.SedCounts(tp=1, n_ref=1)
+        assert peak < 2 ** 20
+
+    def test_key_space_past_int64_is_data_error(self):
+        # 3 segments x 2**62 classes would wrap an int64 (segment, class) key
+        rows = metrics.rows_from_annotations([{}, {}, {2 ** 40: None}])
+        assert metrics.evaluate_rows(rows, rows, 2 ** 40 + 1, 1).er == 0.0
+        with pytest.raises(DataError, match="int64"):
+            metrics.evaluate_rows(rows, rows, 2 ** 62, 1)
 
 
 class TestOracleDuels:
@@ -1080,3 +1088,17 @@ class TestCanonicalOrder:
                     image = report_image(metrics.evaluate_rows(*tables_read, 6, 4))
                 results.append((self.seld_eval(*paths, out), image))
             assert results[0] == results[1], case
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: metrics.segment_counts(np.zeros((4, 2)), np.zeros((4, 3)), 4),
+                 InputError, "activity shapes differ", id="segment-counts-shapes"),
+    pytest.param(lambda: metrics.segment_counts(np.ones((4, 2)), np.ones((4, 2)), 0),
+                 InputError, "frames_per_segment", id="segment-counts-zero-fps"),
+    pytest.param(lambda: metrics.doa_vectors_from_prediction(np.ones((2, 2)), np.zeros((2, 5))),
+                 InputError, "does not match activity", id="doa-vectors-shape"),
+])
+def test_library_raise_sites(call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call()
+    assert isinstance(exc.value, SeldError)

@@ -90,6 +90,16 @@ class TestConfigFile:
         assert cfg2 == cfg
         assert extras == {"sample_rate_hz": 16000, "dataset_dir": "data"}
 
+    @pytest.mark.parametrize("dataset_dir", ["data#1", "data\nn_sed = 3", "a\u2028b",
+                                             " data", "data\t"])
+    def test_value_that_would_not_read_back_rejected(self, tmp_path, dataset_dir):
+        # '#' starts a comment, a line break splits the line, and load_config
+        # strips the spaces around a value
+        path = tmp_path / "run.cfg"
+        with pytest.raises(ConfigError, match="would not read back"):
+            models.save_config(path, tiny_cfg(), {"dataset_dir": dataset_dir})
+        assert not path.exists()
+
     def test_comments_and_spacing(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\nn_sed = 3   # trailing\n\npool_schedule=8,8,2\n")
@@ -949,3 +959,44 @@ class TestBenchmarkTracerContract:
                     assert args.command == argv[0]
                     commands.add(args.command)
         assert commands == {"infer", "eval"}
+
+
+def _load_dataset_without_val(tmp_path):
+    synth.make_dataset(5, 2, tmp_path, seed=3, duration_s=2.0, sample_rate_hz=8000)
+    (tmp_path / "val.txt").write_text("")
+    cfg = tiny_cfg(n_feature_channels=8, n_bins=256, seq_len=16)
+    return models.load_sequence_dataset(tmp_path, cfg, 8000)
+
+
+def _seldnet():
+    return models.build_model(tiny_cfg(), "seldnet")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda tmp: tiny_cfg(conv_filters=0),
+                 ConfigError, "width/length fields", id="config-zero-width"),
+    pytest.param(lambda tmp: tiny_cfg(dropout_rate=1.0),
+                 ConfigError, "dropout_rate", id="config-dropout-one"),
+    pytest.param(lambda tmp: models.save_config(tmp / "c.cfg", tiny_cfg(), {"bogus": 1}),
+                 ConfigError, "unknown extra config key", id="save-config-extra-key"),
+    pytest.param(lambda tmp: models.build_model(tiny_cfg(), "seldtcn").forward(np.zeros((2, 8))),
+                 ShapeError, "expected \\(channels, frames, bins\\)", id="forward-2d"),
+    pytest.param(lambda tmp: models.build_model(tiny_cfg(), "seldtcn").forward(
+                     np.zeros((2, 0, 16), np.float32)),
+                 ShapeError, "at least one frame", id="forward-zero-frames"),
+    pytest.param(lambda tmp: _seldnet().resblock_forward(np.zeros((6, 8)), 0),
+                 UnsupportedError, "requires a seldtcn", id="seldnet-resblock"),
+    pytest.param(lambda tmp: _seldnet().backward({}, None, None),
+                 UnsupportedError, "only implemented for seldtcn", id="seldnet-backward"),
+    pytest.param(_load_dataset_without_val, DataError, "splits must be non-empty",
+                 id="dataset-empty-val"),
+    pytest.param(lambda tmp: models.train(models.build_model(tiny_cfg(), "seldtcn"),
+                                          models.SequenceDataset([], []), batch_size=0),
+                 InputError, "batch_size", id="train-zero-batch"),
+    pytest.param(lambda tmp: models.count_params(tiny_cfg(), "rnn"),
+                 ConfigError, "unknown model kind", id="count-params-kind"),
+])
+def test_library_raise_sites(tmp_path, call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call(tmp_path)
+    assert isinstance(exc.value, SeldError)

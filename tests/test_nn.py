@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seldkit import models, nn
-from seldkit.errors import InputError, NumericError, ShapeError, StateError
+from seldkit.errors import InputError, NumericError, SeldError, ShapeError, StateError
 
 
 def ref_dilated_conv1d(x, w, b, d):
@@ -812,3 +812,30 @@ class TestProperties:
             p = make_gru_params(rng, 6, 4)
             assert np.all(np.isfinite(nn.gru_forward(
                 rng.standard_normal((12, 6)).astype(np.float32) * 5, p)))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: nn.conv2d(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(3)),
+                 ShapeError, "bias", id="conv2d-bias"),
+    pytest.param(lambda: nn.batchnorm(np.zeros((2, 4)), nn.BatchNormState.create(2), "eval"),
+                 InputError, "unknown mode", id="batchnorm-mode"),
+    pytest.param(lambda: nn.dilated_conv1d(np.zeros((2, 5)), np.zeros((3, 2, 2)), np.zeros(3), 1),
+                 ShapeError, "incompatible with weights", id="dilated-conv1d-weights"),
+    pytest.param(lambda: nn.dilated_conv1d(np.zeros((2, 5)), np.zeros((3, 2, 3)), np.zeros(3), 0),
+                 InputError, "dilation must be >= 1", id="dilated-conv1d-dilation"),
+    pytest.param(lambda: nn.conv1x1(np.zeros((2, 5)), np.zeros((3, 4)), np.zeros(3)),
+                 ShapeError, "incompatible with weights", id="conv1x1-shapes"),
+    pytest.param(lambda: nn.gru_forward(np.zeros((5, 3)),
+                                        make_gru_params(np.random.default_rng(0), 4, 2)),
+                 ShapeError, "incompatible with w_z", id="gru-shapes"),
+    pytest.param(lambda: nn.adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)},
+                                      nn.AdamState.create({"w": np.zeros(3)})),
+                 ShapeError, "gradient shape mismatch", id="adam-grad-shape"),
+    pytest.param(lambda: nn.grad_check(lambda: 0.0, {"w": np.zeros(2, np.float32)},
+                                       {"w": np.zeros(2)}),
+                 InputError, "requires float64", id="grad-check-float32"),
+])
+def test_library_raise_sites(call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call()
+    assert isinstance(exc.value, SeldError)

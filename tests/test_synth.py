@@ -510,3 +510,27 @@ class TestSceneFeaturesIntegration:
         mid = feats.values[0, feats.n_frames // 2]
         expected_bin = round(300.0 * 512 / 16000) - 1  # DC dropped
         assert abs(int(np.argmax(mid)) - expected_bin) <= 1
+
+
+def _make_dataset_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return synth.make_dataset(5, 2, tmp_path / "file" / "ds", duration_s=2.0,
+                              sample_rate_hz=8000)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda tmp: simple_event(kind="organ"),
+                 InputError, "unknown source kind", id="event-source-kind"),
+    pytest.param(lambda tmp: synth.synth_scene(synth.SceneSpec(
+                     duration_s=1.0, sample_rate_hz=8000,
+                     events=[simple_event(onset=0.5, offset=0.5 + 1e-5)])),
+                 InputError, "shorter than one sample", id="event-below-one-sample"),
+    pytest.param(lambda tmp: synth.make_dataset(5, 0, tmp / "ds"),
+                 InputError, "class_count must be >= 1", id="dataset-zero-classes"),
+    pytest.param(_make_dataset_under_a_file, DataError, "cannot create dataset directory",
+                 id="dataset-dir-uncreatable"),
+])
+def test_library_raise_sites(tmp_path, call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call(tmp_path)
+    assert isinstance(exc.value, SeldError)
